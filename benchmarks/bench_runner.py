@@ -384,7 +384,7 @@ def _pool_worker_init(broker):
 
 
 def _pool_worker_run(task):
-    return _POOL_BROKER._shipped_run_task(task)
+    return _POOL_BROKER._shipped_compute(task)
 
 
 def _best_of(run, rounds=3):
@@ -432,8 +432,8 @@ def test_supervised_executor_overhead(benchmark):
     def run_supervised():
         executor = SupervisedExecutor(
             context=multiprocessing.get_context("fork"),
-            worker=broker._shipped_run_task,
-            inline=broker._inline_run_task,
+            worker=broker._shipped_compute,
+            inline=broker._inline_compute,
             registry=broker.registry,
             jobs=jobs,
             label_for=broker._task_label,

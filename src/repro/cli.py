@@ -8,7 +8,7 @@ Examples::
     repro fig4 --scale 2            # larger inputs
     repro table1 --workloads rawcaudio,cjpeg
     repro all                       # every table and figure in sequence
-    repro all --jobs 4              # same output, experiments in parallel
+    repro all --jobs 4              # same output, analysis units in parallel
     repro all --format json         # machine-readable report
     repro all --kernel reference    # same output, oracle simulation backend
     repro all --hierarchy reference # same output, oracle memory hierarchy
@@ -140,7 +140,7 @@ def build_parser():
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes for independent experiments (default 1: serial)",
+        help="worker processes for pending analysis units (default 1: serial)",
     )
     parser.add_argument(
         "--format",
@@ -780,9 +780,9 @@ def _experiment_run(args, argv):
     faults.bind_registry(session.registry)
     names = None if args.experiment == "all" else [args.experiment]
     try:
-        if args.experiment == "all" and args.format == "text" and args.jobs == 1:
+        if args.experiment == "all" and args.format == "text":
             # Stream each report as it completes.
-            for result in session.run_iter(names):
+            for result in session.run_iter(names, jobs=args.jobs):
                 print(session.format_result_block(result))
             _write_runlog(cache_dir, argv, args, session.registry)
             return 0

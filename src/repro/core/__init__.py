@@ -21,7 +21,6 @@ from repro.core.compress import CompressedWord, compress, compression_ratio
 from repro.core.extension import (
     BYTE_SCHEME,
     HALFWORD_SCHEME,
-    SCHEMES,
     TWO_BIT_SCHEME,
     BlockScheme,
     SegmentedScheme,
@@ -57,7 +56,6 @@ __all__ = [
     "compression_ratio",
     "BYTE_SCHEME",
     "HALFWORD_SCHEME",
-    "SCHEMES",
     "TWO_BIT_SCHEME",
     "BlockScheme",
     "SegmentedScheme",

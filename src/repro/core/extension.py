@@ -341,10 +341,3 @@ TWO_BIT_SCHEME = TwoBitScheme()
 
 #: Halfword (16-bit) granularity used for Table 6.
 HALFWORD_SCHEME = BlockScheme(16)
-
-#: All schemes keyed by report name.
-SCHEMES = {
-    BYTE_SCHEME.name: BYTE_SCHEME,
-    TWO_BIT_SCHEME.name: TWO_BIT_SCHEME,
-    HALFWORD_SCHEME.name: HALFWORD_SCHEME,
-}

@@ -155,7 +155,7 @@ class FetchStatistics:
 
     def __init__(self, compressor=None):
         # Stats built over a custom compressor cannot be keyed/rebuilt
-        # declaratively; the unit scheduler checks this flag.
+        # declaratively; to_dict checks this flag.
         self.standard_compressor = compressor is None
         self.compressor = compressor or InstructionCompressor()
         self.total = 0

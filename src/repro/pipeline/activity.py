@@ -354,30 +354,3 @@ class ActivityModel:
 
         compressed["pc"] = pc_model.bits_operated
         return ActivityReport(name, baseline, compressed, count)
-
-    def suite_reports(self, workloads, scale=1, store=None):
-        """Per-workload reports plus the AVG row, like Tables 5 and 6.
-
-        ``store`` is an optional trace cache with the
-        :class:`repro.study.session.TraceStore` interface; without one
-        each workload's own per-scale cache is used.  A store carrying a
-        result broker (``store.results``, set by
-        :class:`~repro.study.session.ExperimentSession`) additionally
-        memoizes each per-workload report — in memory within a session
-        and, when a persistent result store is configured, on disk
-        across processes.
-        """
-        broker = getattr(store, "results", None)
-        reports = []
-        for workload in workloads:
-            if broker is not None:
-                report = broker.activity_report(self, workload, scale=scale)
-            else:
-                if store is None:
-                    records = workload.trace(scale=scale)
-                else:
-                    records = store.trace(workload, scale=scale)
-                report = self.process(records, name=workload.name)
-            reports.append(report)
-        average = _average_report("AVG", reports)
-        return reports, average

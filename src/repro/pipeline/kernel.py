@@ -185,7 +185,8 @@ def default_kernel_name():
     """The process-default kernel name.
 
     Resolution order: :func:`set_default_kernel` (the ``--kernel`` CLI
-    flag) > the ``REPRO_KERNEL`` environment variable > ``reference``.
+    flag) > the ``REPRO_KERNEL`` environment variable >
+    :data:`DEFAULT_KERNEL` (``tabular``).
     An unknown name in the environment raises ``ValueError`` rather than
     silently simulating with the wrong backend.
     """

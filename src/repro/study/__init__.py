@@ -20,8 +20,8 @@ experiment id   paper artifact                              module
 ==============  ==========================================  =================
 
 Use :func:`repro.study.experiments.run_experiment`, the ``repro`` CLI,
-or — to share one trace materialization across many experiments (and to
-run them in parallel) — :class:`repro.study.session.ExperimentSession`.
+or — to share one trace materialization and every analysis unit across
+many experiments — :class:`repro.study.session.ExperimentSession`.
 """
 
 from repro.study.experiments import (
@@ -33,7 +33,6 @@ from repro.study.experiments import (
 from repro.study.result_store import ResultStore
 from repro.study.scheduler import (
     ActivityUnit,
-    FetchUnit,
     ResultBroker,
     SimUnit,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSession",
     "ExperimentSpec",
-    "FetchUnit",
     "ResultBroker",
     "ResultStore",
     "SimUnit",

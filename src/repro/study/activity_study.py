@@ -6,8 +6,9 @@ reduction in switching activity at each pipeline stage under byte
 """
 
 from repro.core.extension import BYTE_SCHEME, HALFWORD_SCHEME
-from repro.pipeline.activity import STAGES, ActivityModel
+from repro.pipeline.activity import STAGES, ActivityModel, _average_report
 from repro.study.report import format_table
+from repro.study.scheduler import broker_for
 from repro.workloads import mediabench_suite
 
 #: The paper's Table 5 AVG row (byte granularity), in STAGES order.
@@ -47,11 +48,27 @@ _HEADERS = (
 )
 
 
+def suite_reports(model, workloads, scale=1, store=None):
+    """Per-workload reports of ``model`` and their AVG row (Tables 5, 6).
+
+    Each per-workload report comes from the result broker: memoized
+    within a session and, with a persistent result store, on disk
+    across processes.
+    """
+    broker = broker_for(store)
+    reports = [
+        broker.activity_report(model, workload, scale=scale)
+        for workload in workloads
+    ]
+    return reports, _average_report("AVG", reports)
+
+
 def run(scheme=BYTE_SCHEME, workloads=None, scale=1, store=None):
     """Run the activity study; returns (reports, average, text)."""
     workloads = workloads or mediabench_suite()
-    model = ActivityModel(scheme=scheme)
-    reports, average = model.suite_reports(workloads, scale=scale, store=store)
+    reports, average = suite_reports(
+        ActivityModel(scheme=scheme), workloads, scale=scale, store=store
+    )
     paper_avg = PAPER_TABLE5_AVG if scheme is BYTE_SCHEME else (
         PAPER_TABLE6_AVG if scheme is HALFWORD_SCHEME else None
     )

@@ -7,7 +7,7 @@ side with the paper's quoted average.
 """
 
 from repro.study.report import format_bar_chart, format_table, percent
-from repro.study.scheduler import resolve_pipeline_result
+from repro.study.scheduler import broker_for
 from repro.workloads import mediabench_suite
 
 #: Figure id -> (organizations shown, paper's average CPI overhead).
@@ -32,17 +32,15 @@ def collect_cpis(organizations, workloads=None, scale=1, store=None):
     values aligned with names.
     """
     workloads = workloads or mediabench_suite()
+    broker = broker_for(store)
     names = [workload.name for workload in workloads]
     table = {"baseline32": []}
     for organization in organizations:
         table[organization] = []
     for workload in workloads:
-        table["baseline32"].append(
-            resolve_pipeline_result(workload, scale, "baseline32", store).cpi
-        )
-        for organization in organizations:
+        for organization in table:
             table[organization].append(
-                resolve_pipeline_result(workload, scale, organization, store).cpi
+                broker.pipeline_result(workload, organization, scale=scale).cpi
             )
     return names, table
 
@@ -95,10 +93,11 @@ def run_figure(figure, workloads=None, scale=1, store=None):
 def run_bottleneck(workloads=None, scale=1, store=None):
     """Section 5: stage bandwidth demand of the byte-serial pipeline."""
     workloads = workloads or mediabench_suite()
+    broker = broker_for(store)
     totals = {}
     instructions = 0
     for workload in workloads:
-        result = resolve_pipeline_result(workload, scale, "byte_serial", store)
+        result = broker.pipeline_result(workload, "byte_serial", scale=scale)
         for stage, value in result.stage_excess.items():
             totals[stage] = totals.get(stage, 0) + value
         instructions += result.instructions

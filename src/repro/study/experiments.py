@@ -3,12 +3,12 @@
 Each experiment is an :class:`ExperimentSpec` — id, description, trace
 and *unit* requirements, and a runner ``f(workloads, scale, store)``.
 The specs are what :class:`repro.study.session.ExperimentSession`
-schedules: the session materializes the required traces once in a
-shared :class:`~repro.study.session.TraceStore`, executes the deduped
-analysis units (pipeline simulations, activity passes, fetch walks)
-through the :class:`~repro.study.scheduler.ResultBroker` — at most once
-per (workload, organization) no matter how many experiments share them
-— and fans the runners out, serially or across worker processes.
+schedules: the session executes the deduped analysis units (pipeline
+simulations, activity passes, trace walks, static analyses) through the
+:class:`~repro.study.scheduler.ResultBroker` — at most once per
+(workload, organization) no matter how many experiments share them —
+and then runs the runners one after another; each runner only reads
+results its spec declared, so the broker serves them from its memo.
 """
 
 from repro.analysis.tag_table import static_scheme_totals
@@ -19,15 +19,11 @@ from repro.study.report import format_table, percent
 from repro.study.scheduler import (
     BIMODAL_VARIANT,
     ActivityUnit,
-    FetchUnit,
     SimUnit,
     TagTableUnit,
     WalkUnit,
     activity_config,
-    resolve_activity_report,
-    resolve_pipeline_result,
-    resolve_tag_table,
-    resolve_walk_payload,
+    broker_for,
 )
 from repro.workloads import mediabench_suite
 
@@ -74,6 +70,7 @@ SCHEME_BITS_WALK = (
 )
 SEGMENT_BITS_WALK = ("segment_bits", SEGMENTATIONS)
 PC_WALK = pc_study.pc_walk_spec()
+FETCH_WALK = funct_study.FETCH_WALK
 #: Per-PC execution counts: weights the static tag table into the
 #: ``static-byte`` ablation row (stored bits per executed operand).
 PC_EXEC_WALK = ("pc_exec",)
@@ -114,10 +111,6 @@ class ExperimentSpec:
         """Execute the runner; returns the report text."""
         return self.runner(workloads=workloads, scale=scale, store=store)
 
-    def __getitem__(self, index):
-        # Legacy tuple shape: spec[0] is the description, spec[1] the runner.
-        return (self.description, self.runner)[index]
-
     def __repr__(self):
         return "ExperimentSpec(%s)" % self.id
 
@@ -156,11 +149,6 @@ def _activity_units(*configs):
         ]
 
     return build
-
-
-def _fetch_units(workloads, scale):
-    """Builder: one FetchUnit per workload."""
-    return [FetchUnit(workload.name, scale) for workload in workloads]
 
 
 def _walk_units(*specs):
@@ -252,10 +240,11 @@ def _stored_bit_ratios(workloads, spec, scale, store):
     ratios are bit-identical to the old concatenated-value-list
     ``compression_ratio`` computation.
     """
+    broker = broker_for(store)
     total_bits = None
     total_values = 0
     for workload in workloads:
-        payload = resolve_walk_payload(workload, spec, scale, store=store)
+        payload = broker.walk_payload(workload, spec, scale=scale)
         if total_bits is None:
             total_bits = [0] * len(payload["bits"])
         for index, bits in enumerate(payload["bits"]):
@@ -274,11 +263,12 @@ def _static_scheme_ratio(workloads, scale, store):
     table proved for its instruction address (zero tag bits); the
     per-PC execution counts come from the ``pc_exec`` walk.
     """
+    broker = broker_for(store)
     total_bits = 0
     total_values = 0
     for workload in workloads:
-        table = resolve_tag_table(workload, scale=scale, store=store)
-        payload = resolve_walk_payload(workload, PC_EXEC_WALK, scale, store=store)
+        table = broker.tag_table(workload, scale=scale)
+        payload = broker.walk_payload(workload, PC_EXEC_WALK, scale=scale)
         totals = static_scheme_totals(table, payload["execs"])
         total_bits += totals["bits"]
         total_values += totals["values"]
@@ -360,20 +350,21 @@ def _run_energy(workloads=None, scale=1, store=None):
     from repro.pipeline.organizations import get_organization
 
     workloads = workloads or mediabench_suite()
+    broker = broker_for(store)
     activity_model = ActivityModel()
     energy_model = EnergyModel()
     # One activity report and one baseline simulation per workload,
     # shared across every organization row (and, through the broker,
     # with table5 and the CPI figures).
     reports = {
-        workload.name: resolve_activity_report(
-            activity_model, workload, scale, store
+        workload.name: broker.activity_report(
+            activity_model, workload, scale=scale
         )
         for workload in workloads
     }
     baselines = {
-        workload.name: resolve_pipeline_result(
-            workload, scale, "baseline32", store
+        workload.name: broker.pipeline_result(
+            workload, "baseline32", scale=scale
         )
         for workload in workloads
     }
@@ -387,7 +378,7 @@ def _run_energy(workloads=None, scale=1, store=None):
         for workload in workloads:
             report = reports[workload.name]
             baseline_cpi = baselines[workload.name].cpi
-            result = resolve_pipeline_result(workload, scale, org_name, store)
+            result = broker.pipeline_result(workload, org_name, scale=scale)
             estimate = energy_model.estimate(report, result, latch_scale=latch_scale)
             savings_sum += estimate.energy_savings
             edp_sum += estimate.energy_delay_product(baseline_cpi)
@@ -418,8 +409,10 @@ def _run_memory_extension_ablation(workloads=None, scale=1, store=None):
     workloads = workloads or mediabench_suite()
     rows = []
     for label, flag in (("regenerated at fill", False), ("maintained in memory", True)):
-        model = ActivityModel(ext_bits_in_memory=flag)
-        _reports, average = model.suite_reports(workloads, scale=scale, store=store)
+        _reports, average = activity_study.suite_reports(
+            ActivityModel(ext_bits_in_memory=flag), workloads, scale=scale,
+            store=store,
+        )
         rows.append(
             (
                 label,
@@ -440,6 +433,7 @@ def _run_memory_extension_ablation(workloads=None, scale=1, store=None):
 def _run_branch_prediction_ablation(workloads=None, scale=1, store=None):
     """Future work (Section 3): CPI with a bimodal predictor attached."""
     workloads = workloads or mediabench_suite()
+    broker = broker_for(store)
     rows = []
     for org_name in PREDICTOR_ORGANIZATIONS:
         stall_cpis = []
@@ -447,10 +441,10 @@ def _run_branch_prediction_ablation(workloads=None, scale=1, store=None):
         accuracy_total = 0.0
         for workload in workloads:
             stall_cpis.append(
-                resolve_pipeline_result(workload, scale, org_name, store).cpi
+                broker.pipeline_result(workload, org_name, scale=scale).cpi
             )
-            predicted = resolve_pipeline_result(
-                workload, scale, org_name, store, variant=BIMODAL_VARIANT
+            predicted = broker.pipeline_result(
+                workload, org_name, scale=scale, variant=BIMODAL_VARIANT
             )
             predicted_cpis.append(predicted.cpi)
             accuracy_total += predicted.predictor_accuracy
@@ -510,17 +504,18 @@ def _run_segmentation_ablation(workloads=None, scale=1, store=None):
 
 #: (id, description, runner, alias_of, units) — the declarative source
 #: of truth.  ``units`` names the fine-grained analysis units the runner
-#: requests; the trace-walking studies (table1, table2, the value-level
-#: ablations) declare walk units, which the session fuses into one
-#: streaming decode pass per trace.
+#: requests; the trace-walking studies (table1, table2, table3, the
+#: value-level ablations) declare walk units, which the session fuses
+#: into one streaming decode pass per trace.
 _SPEC_TABLE = (
     ("table1", "Table 1: significant-byte pattern frequencies", _run_table1,
      None, _walk_units(PATTERN_WALK)),
     ("table2", "Table 2: PC-update activity/latency vs block size", _run_table2,
      None, _walk_units(PC_WALK)),
     ("table3", "Table 3 + Section 2.3: instruction statistics", _run_table3,
-     None, _fetch_units),
-    ("fetchstats", "alias of table3", _run_table3, "table3", _fetch_units),
+     None, _walk_units(FETCH_WALK)),
+    ("fetchstats", "alias of table3", _run_table3, "table3",
+     _walk_units(FETCH_WALK)),
     ("table5", "Table 5: activity savings, byte granularity", _run_table5,
      None, _activity_units(BYTE_ACTIVITY)),
     ("table6", "Table 6: activity savings, halfword granularity", _run_table6,

@@ -10,9 +10,11 @@ instructions carrying immediates with 80% of those fitting 8 bits, and
 
 from repro.core.icompress import FetchStatistics, build_recode_table
 from repro.study.report import format_comparison, format_table
-from repro.study.scheduler import resolve_fetch_statistics
-from repro.study.session import resolve_trace
+from repro.study.scheduler import broker_for
 from repro.workloads import mediabench_suite
+
+#: The walker spec of the per-workload fetch statistics.
+FETCH_WALK = ("fetch",)
 
 #: Section 2.3 headline numbers from the paper.
 PAPER_FETCH_STATS = {
@@ -27,23 +29,19 @@ PAPER_FETCH_STATS = {
 }
 
 
-def collect_fetch_statistics(workloads=None, scale=1, compressor=None, store=None):
+def collect_fetch_statistics(workloads=None, scale=1, store=None):
     """Accumulate FetchStatistics over the suite's dynamic instructions.
 
-    With the default compressor this is a declarative per-workload unit
-    request: each workload's statistics come from the session's result
-    broker (memoized, shardable, persistable) and merge into the suite
-    total.  A custom compressor walks the traces directly.
+    Each workload's statistics are one ``fetch`` walk unit (memoized,
+    fused with the other pending walks, persistable), merged into the
+    suite total in suite order.
     """
-    if compressor is None:
-        stats = FetchStatistics()
-        for workload in workloads or mediabench_suite():
-            stats.merge(resolve_fetch_statistics(workload, scale, store))
-        return stats
-    stats = FetchStatistics(compressor=compressor)
+    broker = broker_for(store)
+    stats = FetchStatistics()
     for workload in workloads or mediabench_suite():
-        for record in resolve_trace(workload, scale, store):
-            stats.record(record.instr)
+        stats.merge(FetchStatistics.from_dict(
+            broker.walk_payload(workload, FETCH_WALK, scale=scale)
+        ))
     return stats
 
 

@@ -7,7 +7,7 @@ ones the cheaper 2-bit scheme can express) cover ~94% of values.
 
 from repro.core.patterns import PatternCounter
 from repro.study.report import format_table, percent
-from repro.study.scheduler import resolve_walk_payload
+from repro.study.scheduler import broker_for
 from repro.study.walkers import counter_from_payload
 from repro.workloads import mediabench_suite
 
@@ -33,15 +33,15 @@ def collect_pattern_counter(workloads=None, scale=1, include_writes=True, store=
     """Count patterns over all register operand values of the suite.
 
     Each workload's counts come from a :mod:`~repro.study.walkers`
-    pattern walker — memoized and fused with other pending walks when
-    ``store`` carries a result broker, a direct single streaming pass
-    otherwise — and merge in suite order, which reproduces the original
-    sequential walk exactly.
+    pattern walker — memoized and fused with the other pending walks —
+    and merge in suite order, which reproduces the original sequential
+    walk exactly.
     """
+    broker = broker_for(store)
     counter = PatternCounter()
     spec = pattern_walk_spec(include_writes)
     for workload in workloads or mediabench_suite():
-        payload = resolve_walk_payload(workload, spec, scale, store=store)
+        payload = broker.walk_payload(workload, spec, scale=scale)
         counter.merge(counter_from_payload(payload))
     return counter
 

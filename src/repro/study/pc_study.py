@@ -8,7 +8,7 @@ sequential-only savings (Table 5's 73.3% vs the analytic 87%).
 
 from repro.core.pc import expected_activity_bits, expected_latency_cycles
 from repro.study.report import format_table, percent
-from repro.study.scheduler import resolve_walk_payload
+from repro.study.scheduler import broker_for
 from repro.study.walkers import replay_pc_model
 from repro.workloads import mediabench_suite
 
@@ -42,8 +42,9 @@ def measure_pc_streams(block_sizes=DEFAULT_BLOCK_SIZES, workloads=None,
     """
     block_sizes = tuple(block_sizes)
     spec = pc_walk_spec(block_sizes)
+    broker = broker_for(store)
     payloads = [
-        resolve_walk_payload(workload, spec, scale, store=store)
+        broker.walk_payload(workload, spec, scale=scale)
         for workload in workloads or mediabench_suite()
     ]
     return {

@@ -1,33 +1,39 @@
 """Unit-sharded analysis scheduler.
 
 The experiments decompose into fine-grained *units* — one pipeline
-simulation, activity-model pass or fetch-statistics walk over one
-``(workload, scale)`` trace.  Units are the scheduler's currency:
+simulation, activity-model pass, trace walk or static analysis over one
+``(workload, scale)``.  Units are the scheduler's currency:
 
 * :class:`SimUnit` — ``simulate(organization, trace)`` under a named
   pipeline kernel (see :mod:`repro.pipeline.kernel`), optionally with
   a bimodal predictor attached (the Section 3 future-work variant);
 * :class:`ActivityUnit` — an :class:`~repro.pipeline.activity.ActivityModel`
   pass under a declarative configuration key;
-* :class:`FetchUnit` — Section 2.3 :class:`~repro.core.icompress.FetchStatistics`
-  over the instruction stream;
 * :class:`WalkUnit` — one :class:`~repro.study.walkers.TraceWalker`
-  reduction (pattern counts, PC-stream activity, value-level ablation
-  scans) over the record stream.
+  reduction (pattern counts, PC-stream activity, fetch statistics,
+  value-level ablation scans) over the record stream;
+* :class:`AnalysisUnit` / :class:`TagTableUnit` — static analysis of
+  the assembled program, which needs no trace at all.
+
+Every unit class carries the same small protocol (see :class:`_Unit`):
+whether it needs a trace, how it computes, how its stored payload
+encodes and decodes, and which hit/miss counter family counts it.  The
+broker dispatches through those methods, never on the unit's type.
 
 :class:`ResultBroker` executes units with a three-level fallthrough —
 in-memory memo → persistent :class:`~repro.study.result_store.ResultStore`
 → compute — so a unit shared by several experiments (``baseline32``
 appears in every figure; ``byte_serial`` in fig4, fig6 and the
 bottleneck analysis) runs **at most once per session**, and not at all
-when a warm result store holds it.  :meth:`ResultBroker.run_units` fans
-pending units out across forked workers, sharding *within* an
-experiment rather than only across experiments; because every unit is
-deterministic, study reports reassemble byte-identically regardless of
-scheduling.
+when a warm result store holds it.  It is the only way a study gets a
+result: :func:`broker_for` hands a study called outside a session an
+in-memory broker.  :meth:`ResultBroker.run_units` fans pending units
+out across supervised forked workers, sharding *within* an experiment;
+because every unit is deterministic, study reports reassemble
+byte-identically regardless of scheduling.
 
-Walk units are special-cased for fusion: all pending walkers for the
-same ``(workload, scale)`` execute in **one** streaming decode pass
+Walk units are fused: all pending walkers for the same ``(workload,
+scale)`` execute in **one** streaming decode pass
 (:meth:`~repro.study.session.TraceStore.stream`), so a cold ``repro
 all`` decodes each trace at most once for every walk study combined —
 and, when the trace is already in the persistent cache, never builds
@@ -54,7 +60,6 @@ from repro.analysis.tag_table import (
 )
 from repro.core.compress import get_scheme
 from repro.core.extension import BYTE_SCHEME
-from repro.core.icompress import FetchStatistics
 from repro.pipeline.activity import ActivityModel, ActivityReport
 from repro.pipeline.base import InOrderPipeline, PipelineResult
 from repro.pipeline.kernel import default_kernel_name, get_kernel
@@ -62,6 +67,7 @@ from repro.pipeline.organizations import get_organization
 from repro.pipeline.predictor import BimodalPredictor
 from repro.sim.hierarchy_model import default_hierarchy_name, get_hierarchy
 from repro.sim.tracefile import TraceCodecError
+from repro.study.session import TraceStore
 from repro.study.supervisor import SupervisedExecutor
 from repro.study.walkers import (
     build_walker,
@@ -77,16 +83,31 @@ from repro.study.walkers import (
 BIMODAL_VARIANT = "bimodal"
 
 
-class _UnitIdentity:
-    """Unit identity includes the unit *type*, not just the field tuple.
+class _Unit:
+    """The protocol every unit kind implements.
 
+    Subclasses are namedtuples with ``workload`` and ``scale`` fields;
+    they set :attr:`kind`, define :meth:`slug` and :meth:`unwrap`, and
+    override the defaults below where they differ.
+
+    Unit identity includes the unit *type*, not just the field tuple:
     namedtuple equality is plain tuple equality, so two unit kinds with
-    the same field shape — ``FetchUnit``, ``AnalysisUnit`` and
-    ``TagTableUnit`` are all ``(workload, scale)`` — would otherwise
-    collide as broker memo keys and serve each other's results.
+    the same field shape — ``AnalysisUnit`` and ``TagTableUnit`` are
+    both ``(workload, scale)`` — would otherwise collide as broker memo
+    keys and serve each other's results.
     """
 
     __slots__ = ()
+
+    #: Whether :meth:`compute` reads the trace; the broker warms the
+    #: traces of pending units that do before it forks any worker.
+    needs_trace = True
+
+    #: Hit/miss counter family: ``"sim"`` counts into ``sim_hits`` /
+    #: ``sim_misses``, ``"walk"`` into ``walk_hits`` / ``walk_misses``.
+    #: Walk-family units are also the fused ones: every pending walk
+    #: unit of one trace shares a single streaming pass.
+    family = "sim"
 
     def __hash__(self):
         """Hash over ``(kind, *fields)`` so distinct kinds never collide."""
@@ -100,9 +121,35 @@ class _UnitIdentity:
         """The negation of :meth:`__eq__` (namedtuple would say tuple ne)."""
         return not self.__eq__(other)
 
+    def descriptor(self):
+        """JSON-able identity for the persistent result store."""
+        return {"kind": self.kind}
+
+    def label(self):
+        """Human-readable counter key: ``workload@scale/slug``."""
+        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+
+    def pinned(self, kernel, hierarchy):
+        """This unit under a broker's backends (only simulations have any)."""
+        return self
+
+    def compute(self, workload, traces):
+        """``(result, simulation seconds or None)``, counter-free.
+
+        ``traces`` is the broker's
+        :class:`~repro.study.session.TraceStore`.  The timing travels
+        with the result so forked workers can report it back to the
+        parent (their own counters die with the worker).
+        """
+        raise NotImplementedError
+
+    def wrap(self, result):
+        """The payload :meth:`unwrap` reads back from the result store."""
+        return result.to_dict()
+
 
 class SimUnit(
-    _UnitIdentity,
+    _Unit,
     namedtuple(
         "SimUnit",
         ("workload", "scale", "organization", "variant", "kernel", "hierarchy"),
@@ -161,13 +208,37 @@ class SimUnit(
             return self.organization
         return "%s+%s" % (self.organization, self.variant)
 
-    def label(self):
-        """Human-readable counter key: ``workload@scale/organization``."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def pinned(self, kernel, hierarchy):
+        """This simulation under the given kernel and hierarchy backends."""
+        if self.kernel == kernel and self.hierarchy == hierarchy:
+            return self
+        return self._replace(kernel=kernel, hierarchy=hierarchy)
+
+    def compute(self, workload, traces):
+        """Simulate the organization over the trace; timed."""
+        records = traces.trace(workload, scale=self.scale)
+        predictor = (
+            BimodalPredictor() if self.variant == BIMODAL_VARIANT else None
+        )
+        pipeline = InOrderPipeline(
+            get_organization(self.organization), predictor=predictor,
+            kernel=self.kernel, hierarchy=self.hierarchy,
+        )
+        with tracing.span(
+            "pipeline.run:%s" % self.label(), "compute",
+            kernel=self.kernel, hierarchy=self.hierarchy,
+            organization=self.organization, workload=self.workload,
+        ) as handle:
+            result = pipeline.run(records)
+        return result, handle.seconds
+
+    def unwrap(self, payload):
+        """A :class:`~repro.pipeline.base.PipelineResult` from its payload."""
+        return PipelineResult.from_dict(payload)
 
 
 class ActivityUnit(
-    _UnitIdentity, namedtuple("ActivityUnit", ("workload", "scale", "config"))
+    _Unit, namedtuple("ActivityUnit", ("workload", "scale", "config"))
 ):
     """One activity-model pass; ``config`` is ActivityModel.config_key()."""
 
@@ -187,32 +258,20 @@ class ActivityUnit(
             "-mem" if ext_in_memory else "",
         )
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def compute(self, workload, traces):
+        """Run the configured activity model over the trace."""
+        records = traces.trace(workload, scale=self.scale)
+        return model_from_config(self.config).process(
+            records, name=workload.name
+        ), None
 
-
-class FetchUnit(_UnitIdentity, namedtuple("FetchUnit", ("workload", "scale"))):
-    """One fetch-statistics walk (default instruction compressor)."""
-
-    __slots__ = ()
-    kind = "fetch"
-
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind}
-
-    def slug(self):
-        """Filename-safe unit name."""
-        return "fetch"
-
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/fetch" % (self.workload, self.scale)
+    def unwrap(self, payload):
+        """An :class:`~repro.pipeline.activity.ActivityReport` from its payload."""
+        return ActivityReport.from_dict(payload)
 
 
 class WalkUnit(
-    _UnitIdentity, namedtuple("WalkUnit", ("workload", "scale", "walker"))
+    _Unit, namedtuple("WalkUnit", ("workload", "scale", "walker"))
 ):
     """One trace-walk reduction; ``walker`` is a spec tuple.
 
@@ -220,10 +279,13 @@ class WalkUnit(
     rides into the result-store descriptor, so payloads from different
     walkers (or differently parameterized ones) never mix; the stored
     payload itself carries a version + spec envelope as a second check.
+    Walk units never compute alone: the broker feeds every pending walk
+    unit of one trace from a single streaming pass.
     """
 
     __slots__ = ()
     kind = "walk"
+    family = "walk"
 
     def __new__(cls, workload, scale, walker):
         validate_spec(walker)  # unknown specs fail here, not at compute
@@ -237,25 +299,25 @@ class WalkUnit(
         """Filename-safe unit name."""
         return "walk-%s" % walker_slug(self.walker)
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/%s" % (self.workload, self.scale, self.slug())
+    def wrap(self, result):
+        """The versioned, spec-tagged envelope of a walker payload."""
+        return wrap_payload(self.walker, result)
+
+    def unwrap(self, payload):
+        """The walker payload inside a stored envelope."""
+        return unwrap_payload(self.walker, payload)
 
 
-class AnalysisUnit(
-    _UnitIdentity, namedtuple("AnalysisUnit", ("workload", "scale"))
-):
-    """One static-analysis summary (CFG + significance bounds + lints).
+class _StaticUnit(_Unit):
+    """A unit over the *assembled program*: it touches no trace.
 
-    Unlike every other unit kind this one needs no trace — it analyzes
-    the *assembled program* — so the broker's compute path special-cases
-    it before touching the trace store.  The payload version rides in
-    the descriptor (and in the stored envelope), so summaries from an
-    older analyzer fail closed and recompute.
+    The analysis version rides in the descriptor (and in the stored
+    envelope), so results from an older analyzer fail closed and
+    recompute.
     """
 
     __slots__ = ()
-    kind = "analyze"
+    needs_trace = False
 
     def descriptor(self):
         """JSON-able identity for the persistent result store."""
@@ -263,39 +325,53 @@ class AnalysisUnit(
 
     def slug(self):
         """Filename-safe unit name."""
-        return "analyze"
+        return self.kind
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/analyze" % (self.workload, self.scale)
+
+class AnalysisUnit(
+    _StaticUnit, namedtuple("AnalysisUnit", ("workload", "scale"))
+):
+    """One static-analysis summary (CFG + significance bounds + lints)."""
+
+    __slots__ = ()
+    kind = "analyze"
+
+    def compute(self, workload, traces):
+        """Analyze the workload's program."""
+        return analyze_workload(workload, scale=self.scale), None
+
+    def wrap(self, result):
+        """The versioned envelope of an analysis summary."""
+        return wrap_analysis_payload(result)
+
+    def unwrap(self, payload):
+        """The analysis summary inside a stored envelope."""
+        return unwrap_analysis_payload(payload)
 
 
 class TagTableUnit(
-    _UnitIdentity, namedtuple("TagTableUnit", ("workload", "scale"))
+    _StaticUnit, namedtuple("TagTableUnit", ("workload", "scale"))
 ):
     """One static tag table (per-PC operand widths for ``static-byte``).
 
-    Like :class:`AnalysisUnit` this needs no trace — the table comes
-    from the interprocedural analysis of the *assembled program* — so
-    the broker computes it without touching the trace store.  The
-    analysis version rides in the descriptor and the stored envelope,
-    so tables from an older analyzer fail closed and recompute.
+    The table comes from the interprocedural analysis of the assembled
+    program.
     """
 
     __slots__ = ()
     kind = "tags"
 
-    def descriptor(self):
-        """JSON-able identity for the persistent result store."""
-        return {"kind": self.kind, "version": ANALYSIS_VERSION}
+    def compute(self, workload, traces):
+        """Build the tag table of the workload's program."""
+        return build_tag_table(workload.program(self.scale)), None
 
-    def slug(self):
-        """Filename-safe unit name."""
-        return "tags"
+    def wrap(self, result):
+        """The versioned envelope of a tag table."""
+        return wrap_tag_payload(result)
 
-    def label(self):
-        """Human-readable counter key."""
-        return "%s@%d/tags" % (self.workload, self.scale)
+    def unwrap(self, payload):
+        """The tag table inside a stored envelope."""
+        return unwrap_tag_payload(payload)
 
 
 def activity_config(scheme=BYTE_SCHEME, ext_bits_in_memory=False):
@@ -320,22 +396,20 @@ def model_from_config(config):
     )
 
 
-def _result_from_payload(unit, payload):
-    """Deserialize a stored payload for ``unit``; None when unusable."""
-    try:
-        if isinstance(unit, SimUnit):
-            return PipelineResult.from_dict(payload)
-        if isinstance(unit, ActivityUnit):
-            return ActivityReport.from_dict(payload)
-        if isinstance(unit, WalkUnit):
-            return unwrap_payload(unit.walker, payload)
-        if isinstance(unit, AnalysisUnit):
-            return unwrap_analysis_payload(payload)
-        if isinstance(unit, TagTableUnit):
-            return unwrap_tag_payload(payload)
-        return FetchStatistics.from_dict(payload)
-    except (ValueError, TypeError):
-        return None
+def broker_for(store):
+    """The :class:`ResultBroker` a study requests its units through.
+
+    A session's trace store already carries one (``store.results``).
+    A study called outside a session (``store=None``) gets a fresh
+    in-memory :class:`~repro.study.session.TraceStore`; a store without
+    a broker gets one with no persistent result store.  Either way the
+    study runs on the same execution path as a session.
+    """
+    if store is None:
+        store = TraceStore()
+    if store.results is None:
+        store.results = ResultBroker(store)
+    return store.results
 
 
 class ResultBroker:
@@ -397,6 +471,9 @@ class ResultBroker:
         self.disk_hits = counter(
             "result_disk_hits", "units loaded from the persistent store"
         )
+        # Counter family (a unit's ``family``) -> its hit/miss counters.
+        self._hits = {"sim": self.sim_hits, "walk": self.walk_hits}
+        self._misses = {"sim": self.sim_misses, "walk": self.walk_misses}
         # The per-kernel simulation timing triple, decomposed into three
         # counters (kernel name -> value); :attr:`sim_seconds` rebuilds
         # the report's nested shape from them.
@@ -469,7 +546,7 @@ class ResultBroker:
         unit = SimUnit(
             workload.name, scale, organization, variant, kernel, hierarchy
         )
-        return self._ensure(unit, workload)
+        return self._request([unit], workload)[0]
 
     def activity_report(self, model, workload, scale=1):
         """Memoized ``model.process(trace)``.
@@ -483,22 +560,15 @@ class ResultBroker:
             records = self.traces.trace(workload, scale=scale)
             return model.process(records, name=workload.name)
         unit = ActivityUnit(workload.name, scale, config)
-        return self._ensure(unit, workload)
-
-    def fetch_statistics(self, workload, scale=1):
-        """Memoized default-compressor FetchStatistics for one workload."""
-        unit = FetchUnit(workload.name, scale)
-        return self._ensure(unit, workload)
+        return self._request([unit], workload)[0]
 
     def analysis_summary(self, workload, scale=1):
         """Memoized static-analysis summary of one workload's program."""
-        unit = AnalysisUnit(workload.name, scale)
-        return self._ensure(unit, workload)
+        return self._request([AnalysisUnit(workload.name, scale)], workload)[0]
 
     def tag_table(self, workload, scale=1):
         """Memoized static tag table of one workload's program."""
-        unit = TagTableUnit(workload.name, scale)
-        return self._ensure(unit, workload)
+        return self._request([TagTableUnit(workload.name, scale)], workload)[0]
 
     def walk_payload(self, workload, spec, scale=1):
         """Memoized payload of one trace walker over one workload."""
@@ -513,30 +583,9 @@ class ResultBroker:
         many walkers a study (or several studies, via :meth:`run_units`)
         request.  Returns payload data dicts in spec order.
         """
-        self._register(workload)
-        units = [WalkUnit(workload.name, scale, spec) for spec in specs]
-        pending = []
-        for unit in units:
-            with tracing.span(
-                "unit:%s" % unit.label(), "unit", kind=unit.kind,
-                path="memory",
-            ) as handle:
-                if unit in self._memo:
-                    self._count(self.walk_hits, unit)
-                elif self._load_from_disk(unit, workload) is not None:
-                    handle.note(path="disk")
-                else:
-                    handle.cancel()  # re-observed by the group span below
-                    pending.append(unit)
-        if pending:
-            with tracing.span(
-                "unit:%s@%d/walkgroup" % (workload.name, scale), "unit",
-                kind="walk", path="compute", units=len(pending),
-            ):
-                payloads = self._walk_group(workload, scale, pending)
-            for unit, payload in zip(pending, payloads):
-                self._install(unit, workload, payload)
-        return [self._memo[unit] for unit in units]
+        return self._request(
+            [WalkUnit(workload.name, scale, spec) for spec in specs], workload
+        )
 
     # ------------------------------------------------------------ scheduling
 
@@ -546,12 +595,11 @@ class ResultBroker:
 
         Duplicate requests — the same unit declared by several
         experiments, or already memoized — count as :attr:`sim_hits`
-        (:attr:`walk_hits` for walk units) here in the parent, so the
-        dedupe is visible in the JSON report even when the runners later
-        execute in forked workers (whose process-local counters die with
-        the pool).  Disk-warm units load in the parent; only genuinely
-        pending units reach the pool.  Results land in the in-memory
-        memo, so the experiment runners that follow recompute nothing.
+        (:attr:`walk_hits` for walk units), so the dedupe is visible in
+        the JSON report.  Disk-warm units load in the parent; only
+        genuinely pending units reach the workers.  Results land in the
+        in-memory memo, so the experiment runners that follow recompute
+        nothing.
 
         Pending walk units are fused: one streaming decode pass per
         ``(workload, scale)`` feeds every walker for that trace, however
@@ -560,33 +608,40 @@ class ResultBroker:
         once, so forked workers inherit them; a fully warm run therefore
         touches no trace at all — zero decodes, zero walks.
 
-        Simulation units are re-pinned to the broker's kernel and
-        hierarchy: the experiment specs build them without a session
-        reference, so this is where the session's ``--kernel`` /
-        ``--hierarchy`` choices take effect.
+        Every unit is pinned to the broker's kernel and hierarchy
+        (:meth:`_Unit.pinned`): the experiment specs build simulation
+        units without a session reference, so this is where the
+        session's ``--kernel`` / ``--hierarchy`` choices take effect.
         """
         with tracing.span(
             "broker.run_units", "broker", requested=len(units), jobs=jobs
         ) as handle:
-            computed = self._run_units(units, workloads_by_name, jobs)
+            computed = self._resolve(
+                [unit.pinned(self.kernel, self.hierarchy) for unit in units],
+                workloads_by_name, jobs,
+            )
             handle.note(computed=computed)
         return computed
 
-    def _run_units(self, units, workloads_by_name, jobs):
+    def _request(self, units, workload):
+        """Results of ``units`` (all over ``workload``), in unit order.
+
+        The single-request path of the study-facing methods: the same
+        memory → disk → compute resolution as :meth:`run_units`, in
+        this process, without re-pinning backends.
+        """
+        self._resolve(units, {workload.name: workload}, jobs=1)
+        return [self._memo[unit] for unit in units]
+
+    def _resolve(self, units, workloads_by_name, jobs):
+        """Memoize every unit in ``units``; returns how many it computed."""
         pending = []
         walk_groups = {}
         seen = set()
         for unit in units:
-            if isinstance(unit, SimUnit) and (
-                unit.kernel != self.kernel
-                or unit.hierarchy != self.hierarchy
-            ):
-                unit = unit._replace(
-                    kernel=self.kernel, hierarchy=self.hierarchy
-                )
             if unit in self._memo or unit in seen:
                 # Served by the memo (or by the pending compute below).
-                self._count(self._hit_counter(unit), unit)
+                self._count(self._hits[unit.family], unit)
                 with tracing.span(
                     "unit:%s" % unit.label(), "unit", kind=unit.kind,
                     path="memory",
@@ -604,7 +659,7 @@ class ResultBroker:
                 if loaded is None:
                     probe.cancel()  # re-observed as a compute-path span
             if loaded is None:
-                if isinstance(unit, WalkUnit):
+                if unit.family == "walk":
                     walk_groups.setdefault(
                         (unit.workload, unit.scale), []
                     ).append(unit)
@@ -618,10 +673,8 @@ class ResultBroker:
         # in-memory list.
         warmed = set()
         for unit in pending:
-            if isinstance(unit, (AnalysisUnit, TagTableUnit)):
-                continue  # static analysis never touches a trace
             key = (unit.workload, unit.scale)
-            if key not in warmed:
+            if unit.needs_trace and key not in warmed:
                 warmed.add(key)
                 self.traces.trace(workloads_by_name[key[0]], scale=key[1])
         for key in walk_groups:
@@ -635,40 +688,40 @@ class ResultBroker:
         if jobs > 1 and len(tasks) > 1:
             timed = self._compute_parallel(tasks, jobs)
         else:
-            timed = [self._run_task(task) for task in tasks]
+            timed = [self._compute(task) for task in tasks]
         computed = 0
         for task, (result, seconds) in zip(tasks, timed):
-            if isinstance(task, list):
-                workload = workloads_by_name[task[0].workload]
-                for unit, payload in zip(task, result):
-                    self._install(unit, workload, payload)
-                computed += len(task)
-            else:
-                if seconds is not None:
-                    self._record_sim_time(
-                        task.kernel, task.hierarchy, seconds,
-                        result.instructions,
-                    )
-                self._install(task, workloads_by_name[task.workload], result)
-                computed += 1
+            if not isinstance(task, list):
+                task, result = [task], [result]
+            for unit, value in zip(task, result):
+                self._install(
+                    unit, workloads_by_name[unit.workload], value, seconds
+                )
+            computed += len(task)
         return computed
 
-    def _run_task(self, task):
-        """Compute one scheduling task: a unit, or a fused walk group."""
+    def _compute(self, task):
+        """Compute one scheduling task as ``(result, sim seconds or None)``.
+
+        A task is one unit, or a fused walk group — a list of walk units
+        over one trace, whose result is their payloads in unit order.
+        Counter-free, so forked workers run exactly this.
+        """
         if isinstance(task, list):
             first = task[0]
-            workload = self._workload_for(first)
             with tracing.span(
-                "unit:%s@%d/walkgroup" % (first.workload, first.scale),
-                "unit", kind="walk", path="compute", units=len(task),
+                "unit:%s" % self._task_label(task), "unit", kind="walk",
+                path="compute", units=len(task),
             ):
-                return self._walk_group(workload, first.scale, task), None
+                return self._walk_group(
+                    self._workload_for(first), first.scale, task
+                ), None
         with tracing.span(
             "unit:%s" % task.label(), "unit", kind=task.kind, path="compute",
         ):
-            return self._compute_timed(task, self._workload_for(task))
+            return task.compute(self._workload_for(task), self.traces)
 
-    def _shipped_run_task(self, task):
+    def _shipped_compute(self, task):
         # Runs in a forked worker.  A walk group streaming inside a
         # worker performs real decode work, and the worker's counters
         # and spans die with it: ship the registry delta (snapshot →
@@ -677,15 +730,15 @@ class ResultBroker:
         before = self.registry.snapshot()
         tracer = tracing.current_tracer()
         mark = tracer.event_count() if tracer is not None else 0
-        result, seconds = self._run_task(task)
+        result, seconds = self._compute(task)
         events = tracer.events_since(mark) if tracer is not None else []
         return result, seconds, self.registry.snapshot().diff(before), events
 
-    def _inline_run_task(self, task):
+    def _inline_compute(self, task):
         # The supervisor's quarantine / last-resort path: same payload
-        # shape as _shipped_run_task, but computed in the parent, where
+        # shape as _shipped_compute, but computed in the parent, where
         # counters and spans record directly (hence no delta to merge).
-        result, seconds = self._run_task(task)
+        result, seconds = self._compute(task)
         return result, seconds, None, None
 
     @staticmethod
@@ -707,11 +760,11 @@ class ResultBroker:
                 % (len(tasks), jobs),
                 file=sys.stderr,
             )
-            return [self._run_task(task) for task in tasks]
+            return [self._compute(task) for task in tasks]
         executor = SupervisedExecutor(
             context=context,
-            worker=self._shipped_run_task,
-            inline=self._inline_run_task,
+            worker=self._shipped_compute,
+            inline=self._inline_compute,
             registry=self.registry,
             jobs=min(jobs, len(tasks)),
             label_for=self._task_label,
@@ -741,31 +794,6 @@ class ResultBroker:
         label = unit.label()
         counters[label] = counters.get(label, 0) + 1
 
-    def _hit_counter(self, unit):
-        return self.walk_hits if isinstance(unit, WalkUnit) else self.sim_hits
-
-    def _miss_counter(self, unit):
-        return (
-            self.walk_misses if isinstance(unit, WalkUnit) else self.sim_misses
-        )
-
-    def _ensure(self, unit, workload):
-        self._register(workload)
-        with tracing.span(
-            "unit:%s" % unit.label(), "unit", kind=unit.kind, path="memory",
-        ) as handle:
-            if unit in self._memo:
-                self._count(self._hit_counter(unit), unit)
-                return self._memo[unit]
-            result = self._load_from_disk(unit, workload)
-            if result is not None:
-                handle.note(path="disk")
-                return result
-            handle.note(path="compute")
-            result = self._compute(unit, workload)
-            self._install(unit, workload, result)
-            return result
-
     def _load_from_disk(self, unit, workload):
         """Memoize a persisted result; None when absent or unusable."""
         if self.store is None:
@@ -773,25 +801,12 @@ class ResultBroker:
         payload = self.store.load(workload, unit)
         if payload is None:
             return None
-        result = _result_from_payload(unit, payload)
-        if result is None:
+        try:
+            result = unit.unwrap(payload)
+        except (ValueError, TypeError):
             return None
         self._memo[unit] = result
         self._count(self.disk_hits, unit)
-        return result
-
-    def _compute(self, unit, workload):
-        """Run one unit (no memo, no disk, no hit counters): pure compute.
-
-        Pipeline simulations book their wall time into
-        :attr:`sim_seconds` under their kernel name — the per-kernel
-        throughput counter the JSON report exposes.
-        """
-        result, seconds = self._compute_timed(unit, workload)
-        if seconds is not None:
-            self._record_sim_time(
-                unit.kernel, unit.hierarchy, seconds, result.instructions
-            )
         return result
 
     def _walk_group(self, workload, scale, units):
@@ -826,169 +841,25 @@ class ResultBroker:
                 for walker, unit in zip(walkers, units)
             ]
 
-    def _compute_timed(self, unit, workload):
-        """``(result, sim seconds or None)`` for one unit, counter-free.
+    def _install(self, unit, workload, result, seconds=None):
+        """Memoize a freshly computed result and write it back to disk.
 
-        The timing travels with the result so forked unit workers can
-        report it back to the parent (their own counters die with the
-        pool); ``None`` marks the non-simulation unit kinds.
+        ``seconds`` is a simulation's compute time, booked into
+        :attr:`sim_seconds` under its kernel (``None`` for the other
+        unit kinds).
         """
-        if isinstance(unit, AnalysisUnit):
-            # Static analysis runs over the assembled program; fetching
-            # (or worse, simulating) a trace here would be pure waste.
-            return analyze_workload(workload, scale=unit.scale), None
-        if isinstance(unit, TagTableUnit):
-            # Same discipline: the tag table is a pure function of the
-            # assembled program, so no trace is touched either.
-            return build_tag_table(workload.program(unit.scale)), None
-        records = self.traces.trace(workload, scale=unit.scale)
-        if isinstance(unit, SimUnit):
-            organization = get_organization(unit.organization)
-            predictor = (
-                BimodalPredictor() if unit.variant == BIMODAL_VARIANT else None
-            )
-            pipeline = InOrderPipeline(
-                organization, predictor=predictor, kernel=unit.kernel,
-                hierarchy=unit.hierarchy,
-            )
-            with tracing.span(
-                "pipeline.run:%s" % unit.label(), "compute",
-                kernel=unit.kernel, hierarchy=unit.hierarchy,
-                organization=unit.organization, workload=unit.workload,
-            ) as handle:
-                result = pipeline.run(records)
-            return result, handle.seconds
-        if isinstance(unit, ActivityUnit):
-            report = model_from_config(unit.config).process(
-                records, name=workload.name
-            )
-            return report, None
-        stats = FetchStatistics()
-        for record in records:
-            stats.record(record.instr)
-        return stats, None
-
-    def _record_sim_time(self, kernel, hierarchy, seconds, instructions):
-        self._sim_units.inc(kernel)
-        self._sim_compute_seconds.inc(kernel, seconds)
-        self._sim_instructions.inc(kernel, instructions)
-        self.hierarchy_seconds.inc(hierarchy, seconds)
-
-    def _install(self, unit, workload, result):
-        """Memoize a freshly computed result and write it back to disk."""
+        if seconds is not None:
+            self._sim_units.inc(unit.kernel)
+            self._sim_compute_seconds.inc(unit.kernel, seconds)
+            self._sim_instructions.inc(unit.kernel, result.instructions)
+            self.hierarchy_seconds.inc(unit.hierarchy, seconds)
         self._memo[unit] = result
-        self._count(self._miss_counter(unit), unit)
+        self._count(self._misses[unit.family], unit)
         if self.store is not None:
-            if isinstance(unit, WalkUnit):
-                payload = wrap_payload(unit.walker, result)
-            elif isinstance(unit, AnalysisUnit):
-                payload = wrap_analysis_payload(result)
-            elif isinstance(unit, TagTableUnit):
-                payload = wrap_tag_payload(result)
-            else:
-                payload = result.to_dict()
-            self.store.store(workload, unit, payload)
+            self.store.store(workload, unit, unit.wrap(result))
 
     def __repr__(self):
         return "ResultBroker(%d memoized, %d computed)" % (
             len(self._memo),
             sum(self.sim_misses.values()) + sum(self.walk_misses.values()),
         )
-
-
-# ----------------------------------------------- store-or-fallback helpers
-
-
-def _records(workload, scale, store):
-    """Trace records via the store when given, else the workload cache."""
-    if store is None:
-        return workload.trace(scale=scale)
-    return store.trace(workload, scale=scale)
-
-
-def resolve_pipeline_result(workload, scale, organization, store=None,
-                            variant=None, kernel=None, hierarchy=None):
-    """A (memoized, when possible) PipelineResult for one unit.
-
-    With a broker-carrying store (``store.results``) the request goes
-    through the unit scheduler; otherwise it simulates directly, exactly
-    as the pre-subsystem imperative call sites did.  ``kernel`` names a
-    simulation backend and ``hierarchy`` a memory-hierarchy backend
-    (defaults: the process-default kernel and hierarchy).
-    """
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.pipeline_result(
-            workload, organization, scale=scale, variant=variant,
-            kernel=kernel, hierarchy=hierarchy,
-        )
-    records = _records(workload, scale, store)
-    org = get_organization(organization)
-    predictor = BimodalPredictor() if variant == BIMODAL_VARIANT else None
-    return InOrderPipeline(
-        org, predictor=predictor, kernel=kernel, hierarchy=hierarchy
-    ).run(records)
-
-
-def resolve_activity_report(model, workload, scale, store=None):
-    """A (memoized, when possible) ActivityReport for one workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.activity_report(model, workload, scale=scale)
-    return model.process(_records(workload, scale, store), name=workload.name)
-
-
-def resolve_fetch_statistics(workload, scale, store=None):
-    """(Memoized, when possible) default-compressor fetch statistics."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.fetch_statistics(workload, scale=scale)
-    stats = FetchStatistics()
-    for record in _records(workload, scale, store):
-        stats.record(record.instr)
-    return stats
-
-
-def resolve_analysis_summary(workload, scale=1, store=None):
-    """(Memoized, when possible) static-analysis summary for a workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.analysis_summary(workload, scale=scale)
-    return analyze_workload(workload, scale=scale)
-
-
-def resolve_tag_table(workload, scale=1, store=None):
-    """(Memoized, when possible) static tag table for a workload."""
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.tag_table(workload, scale=scale)
-    return build_tag_table(workload.program(scale))
-
-
-def resolve_walk_payload(workload, spec, scale, store=None):
-    """(Memoized, when possible) payload of one trace walker.
-
-    With a broker-carrying store the payload comes from the unit
-    scheduler (fused with other pending walkers, persisted); otherwise
-    a fresh walker streams the workload's records directly — still one
-    single pass, without materializing a record list when the store can
-    stream from disk.
-    """
-    broker = getattr(store, "results", None) if store is not None else None
-    if broker is not None:
-        return broker.walk_payload(workload, spec, scale=scale)
-    if store is None:
-        walker = build_walker(spec)
-        for record in workload.trace(scale=scale):
-            walker.feed(record)
-        return walker.finish()
-    walker = build_walker(spec)
-    try:
-        for record in store.stream(workload, scale=scale):
-            walker.feed(record)
-    except TraceCodecError:
-        # Damaged cache entry mid-stream: the partial state is poisoned.
-        walker = build_walker(spec)
-        for record in store.trace(workload, scale=scale):
-            walker.feed(record)
-    return walker.finish()

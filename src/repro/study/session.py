@@ -1,4 +1,4 @@
-"""Cached, parallel experiment engine.
+"""Cached experiment engine.
 
 The studies are trace-driven: every experiment walks the dynamic trace
 of each workload, and materializing those traces (compile + simulate)
@@ -6,8 +6,8 @@ dwarfs the analysis itself.  :class:`TraceStore` materializes each
 ``(workload, scale)`` trace exactly once and shares it across every
 experiment in a session; :class:`ExperimentSession` schedules the
 declarative specs from :mod:`repro.study.experiments` over the store,
-serially or across worker processes, with deterministic ordered output
-and an optional machine-readable JSON report.  Backed by a persistent
+with deterministic ordered output and an optional machine-readable JSON
+report.  Backed by a persistent
 :class:`~repro.study.trace_cache.TraceCache` (``cache_dir=...`` /
 ``repro all --cache-dir``), the store also amortizes materialization
 across processes and CI runs: a warm run simulates nothing.
@@ -15,54 +15,37 @@ across processes and CI runs: a warm run simulates nothing.
 On top of the trace layer sits the unit scheduler
 (:mod:`repro.study.scheduler`): before any runner starts, the session
 collects each experiment's declared analysis units — one pipeline
-simulation, activity pass, fetch walk or trace-walk reduction per
+simulation, activity pass, trace walk or static analysis per
 ``(workload, scale)`` — dedupes them across experiments, and executes
 the pending ones through the session's
-:class:`~repro.study.scheduler.ResultBroker` (fanned out across forked
-workers under ``--jobs N``).  Shared units like the ``baseline32``
-simulation therefore run at most once per session, and with a warm
-persistent :class:`~repro.study.result_store.ResultStore` (same
-``cache_dir``) not at all.
+:class:`~repro.study.scheduler.ResultBroker` (fanned out across
+supervised forked workers under ``--jobs N``).  Shared units like the
+``baseline32`` simulation therefore run at most once per session, and
+with a warm persistent :class:`~repro.study.result_store.ResultStore`
+(same ``cache_dir``) not at all.
 
 Traces are resolved lazily, by the units that actually compute: the
 scheduler warms (in the parent, pre-fork) exactly the traces its
 pending units need, walk units stream records straight from the
 compressed cache files (:meth:`TraceStore.stream`), and a fully warm
 run touches no trace at all — zero decodes, zero simulations, zero
-walks.  Parallel execution forks workers *after* that warm-up, so the
-workers inherit the materialized traces and memoized results and
-nothing is computed twice; ``pool.map`` keeps results in submission
-order, making ``--jobs N`` output byte-identical to a serial run.
+walks.  The experiment runners then execute one after another in
+request order: each only reads the results its spec declared, which
+the broker already memoized, so the experiment phase computes nothing
+and ``--jobs N`` output is byte-identical to a serial run.
 
-This module deliberately imports :mod:`repro.study.experiments` lazily:
-the study modules call :func:`resolve_trace` from here, and the
-experiment registry imports the study modules.
+This module deliberately imports :mod:`repro.study.experiments` and
+:mod:`repro.study.scheduler` lazily: the scheduler imports
+:class:`TraceStore` from here, and the experiment registry imports the
+scheduler.
 """
 
 import json
-import multiprocessing
-import sys
 from collections import namedtuple
 
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, format_workload_scale
 from repro.workloads import mediabench_suite
-
-
-def resolve_trace(workload, scale=1, store=None, stream=False):
-    """Trace records via the store when given, else the workload cache.
-
-    ``stream=True`` returns a single-pass iterator instead of a list,
-    preferring the store's disk-streaming path (see
-    :meth:`TraceStore.stream`) so single-pass consumers never force the
-    full record list into memory.
-    """
-    if store is None:
-        records = workload.trace(scale=scale)
-        return iter(records) if stream else records
-    if stream:
-        return store.stream(workload, scale=scale)
-    return store.trace(workload, scale=scale)
 
 
 class TraceStore:
@@ -86,9 +69,10 @@ class TraceStore:
         self._owners = {}
         #: Optional persistent TraceCache backing this store.
         self.cache = cache
-        #: Optional :class:`~repro.study.scheduler.ResultBroker` riding
-        #: on this store (set by ExperimentSession): the studies reach
-        #: memoized per-(workload, organization) results through it.
+        #: The :class:`~repro.study.scheduler.ResultBroker` riding on
+        #: this store (set by ExperimentSession, or on first use by
+        #: :func:`~repro.study.scheduler.broker_for`): the studies reach
+        #: every memoized per-unit result through it.
         self.results = None
         #: The session-scoped :class:`~repro.obs.metrics.MetricsRegistry`
         #: every counter below is registered in; the broker and the
@@ -227,39 +211,14 @@ ExperimentResult = namedtuple(
 )
 
 
-# Each worker receives the session once, at pool start-up, through the
-# fork-inherited initializer (no pickling); per task only the experiment
-# id string travels.  A global keeps run() reentrant across sessions.
-_WORKER_SESSION = None
-
-
-def _worker_init(session):
-    global _WORKER_SESSION
-    _WORKER_SESSION = session
-
-
-def _worker_run(name):
-    # The worker's registry and tracer are fork-inherited copies whose
-    # mutations die with the pool: ship the metric delta and the spans
-    # recorded during this experiment back alongside the result, so the
-    # parent's report (and trace file) stays identical to a serial run.
-    registry = _WORKER_SESSION.registry
-    before = registry.snapshot()
-    tracer = tracing.current_tracer()
-    mark = tracer.event_count() if tracer is not None else 0
-    result = _WORKER_SESSION.run_one(name)
-    events = tracer.events_since(mark) if tracer is not None else []
-    return result, registry.snapshot().diff(before), events
-
-
 class ExperimentSession:
     """Schedules experiments over a shared :class:`TraceStore`.
 
     ``run()`` resolves the requested experiment ids against the registry,
     executes their deduped analysis units through the broker (which
     warms exactly the traces its pending units need — each at most once;
-    a fully warm run touches none), then runs the specs serially or on a
-    fork-based process pool.  Results always come back in request order.
+    a fully warm run touches none), then runs the specs in request
+    order.  Only the unit phase forks, under ``jobs > 1``.
     """
 
     def __init__(self, workloads=None, scale=1, store=None, cache_dir=None,
@@ -398,11 +357,11 @@ class ExperimentSession:
     def prepare_units(self, names=None, jobs=1):
         """Execute every unit the named experiments need, at most once.
 
-        With ``jobs > 1`` pending units fan out across forked workers —
-        sharding *within* an experiment (per workload and organization),
-        not just across experiments.  The raw (pre-dedupe) request list
-        goes to the broker so cross-experiment sharing registers as
-        ``sim_hits`` regardless of how the runners are scheduled later.
+        With ``jobs > 1`` pending units fan out across supervised forked
+        workers — sharding *within* an experiment (per workload and
+        organization), not just across experiments.  The raw
+        (pre-dedupe) request list goes to the broker so cross-experiment
+        sharing registers as ``sim_hits``.
         Returns the number of units actually computed (0 on a fully
         warm result store).
         """
@@ -440,8 +399,18 @@ class ExperimentSession:
     def run(self, names=None, jobs=1):
         """Run experiments (default: every canonical one) in order.
 
-        ``jobs > 1`` fans independent experiments out across forked
-        worker processes; the output is byte-identical to a serial run.
+        ``jobs > 1`` computes the pending analysis units across
+        supervised forked workers; the output is byte-identical to a
+        serial run.
+        """
+        return list(self.run_iter(names, jobs))
+
+    def run_iter(self, names=None, jobs=1):
+        """Generator form of :meth:`run`: results as they finish.
+
+        Lets a consumer stream each report the moment it completes (the
+        CLI does, for text ``repro all``) instead of waiting for the
+        whole batch.
         """
         names = self._validate(names)
         # No eager trace warm-up: prepare_units resolves exactly the
@@ -456,29 +425,6 @@ class ExperimentSession:
         with tracing.span(
             "session.experiments", "session", experiments=len(names),
             jobs=jobs,
-        ) as phase:
-            if jobs > 1 and len(names) > 1:
-                results = self._run_parallel(names, jobs)
-            else:
-                results = [self.run_one(name) for name in names]
-        self.phases.observe("experiments", phase.seconds)
-        return results
-
-    def run_iter(self, names=None):
-        """Serial generator form of :meth:`run`: results as they finish.
-
-        Lets a consumer stream each report the moment it completes (the
-        CLI does, for serial ``repro all``) instead of waiting for the
-        whole batch.
-        """
-        names = self._validate(names)
-        with tracing.span(
-            "session.prepare_units", "session", experiments=len(names), jobs=1,
-        ) as prepare:
-            self.prepare_units(names)
-        self.phases.observe("prepare_units", prepare.seconds)
-        with tracing.span(
-            "session.experiments", "session", experiments=len(names), jobs=1,
         ) as phase:
             for name in names:
                 yield self.run_one(name)
@@ -497,42 +443,14 @@ class ExperimentSession:
                 )
         return names
 
-    def _run_parallel(self, names, jobs):
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this platform: stay correct, serial
-            self.results.parallel_fallbacks.inc("fork-unavailable")
-            print(
-                "repro: fork start method unavailable on this platform; "
-                "running %d experiments serially despite --jobs %d"
-                % (len(names), jobs),
-                file=sys.stderr,
-            )
-            return [self.run_one(name) for name in names]
-        with context.Pool(
-            processes=min(jobs, len(names)),
-            initializer=_worker_init,
-            initargs=(self,),
-        ) as pool:
-            shipped = pool.map(_worker_run, names, chunksize=1)
-        tracer = tracing.current_tracer()
-        results = []
-        for result, delta, events in shipped:
-            self.registry.merge(delta)
-            if tracer is not None:
-                tracer.extend(events)
-            results.append(result)
-        return results
-
     # -------------------------------------------------------------- reporting
 
     @staticmethod
     def format_result_block(result):
         """One experiment's block of the ``repro all`` stream.
 
-        Both the buffered report and the CLI's serial streaming path go
-        through this, keeping ``--jobs 1`` and ``--jobs N`` output
-        byte-identical by construction.
+        Both the buffered report and the CLI's streaming path go through
+        this, keeping the two byte-identical by construction.
         """
         return "%s\n%s\n" % ("=" * 72, result.text)
 

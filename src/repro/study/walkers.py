@@ -1,7 +1,8 @@
 """Trace-walk reducers: single-pass, fusable, memoizable trace scans.
 
 The trace-walking studies — Table 1's pattern counting, Table 2's
-PC-stream measurement, the scheme/granularity value-level ablations —
+PC-stream measurement, Table 3's fetch statistics, the
+scheme/granularity value-level ablations —
 used to re-decode every trace and scan a full in-memory record list once
 per study (Table 2 even once per block size).  A :class:`TraceWalker`
 turns each of those scans into a *reducer* over a record stream:
@@ -24,7 +25,7 @@ warm run walks nothing.
 
 Walkers are *declared* by spec tuples — ``("patterns", True)``,
 ``("pc", (1, 2, 4, 8, 16, 32))``, ``("scheme_bits", ("byte2", ...))``,
-``("segment_bits", ((8, 8, 8, 8), ...))`` — which ride inside
+``("segment_bits", ((8, 8, 8, 8), ...))``, ``("fetch",)`` — which ride inside
 :class:`~repro.study.scheduler.WalkUnit` keys and result-store
 descriptors.  :func:`build_walker` turns a spec into a fresh reducer;
 :func:`wrap_payload`/:func:`unwrap_payload` add and check the version
@@ -33,6 +34,7 @@ envelope stored on disk.
 
 from repro.core.compress import get_scheme
 from repro.core.extension import SegmentedScheme
+from repro.core.icompress import FetchStatistics
 from repro.core.patterns import PatternCounter, pattern_of
 from repro.core.pc import BlockSerialPC
 from repro.obs import tracing
@@ -64,6 +66,8 @@ def walker_slug(spec):
         )
     if kind == "pc_exec":
         return "pcexec"
+    if kind == "fetch":
+        return "fetch"
     raise ValueError("unknown walker kind %r" % (kind,))
 
 
@@ -401,6 +405,29 @@ class PcExecWalker(TraceWalker):
         }
 
 
+class FetchWalker(TraceWalker):
+    """Table 3 + Section 2.3: instruction-fetch statistics.
+
+    Counts the dynamic instruction stream under the default instruction
+    compressor.  The payload is :meth:`FetchStatistics.to_dict
+    <repro.core.icompress.FetchStatistics.to_dict>`; suite totals come
+    from ``FetchStatistics.from_dict`` + ``merge`` in suite order.
+    """
+
+    kind = "fetch"
+
+    def __init__(self):
+        self.stats = FetchStatistics()
+
+    def feed(self, record):
+        """Fold one trace record into the walker state."""
+        self.stats.record(record.instr)
+
+    def finish(self):
+        """The JSON-able per-workload payload (see :func:`wrap_payload`)."""
+        return self.stats.to_dict()
+
+
 #: Walker kind -> class; specs are ``(kind, *params)`` tuples.
 WALKERS = {
     walker.kind: walker
@@ -410,6 +437,7 @@ WALKERS = {
         SchemeBitsWalker,
         SegmentBitsWalker,
         PcExecWalker,
+        FetchWalker,
     )
 }
 

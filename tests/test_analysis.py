@@ -292,16 +292,16 @@ def test_static_activity_model_is_sound_and_unmemoizable():
 
 
 def test_broker_tag_table_unit_is_distinct_from_analysis_unit():
-    # Regression: FetchUnit, AnalysisUnit and TagTableUnit share the
-    # (workload, scale) field shape; with plain namedtuple identity the
-    # broker memo served the analysis summary dict as a "tag table".
-    from repro.study.scheduler import AnalysisUnit, FetchUnit, TagTableUnit
+    # Regression: AnalysisUnit and TagTableUnit share the (workload,
+    # scale) field shape; with plain namedtuple identity the broker
+    # memo served the analysis summary dict as a "tag table".
+    from repro.study.scheduler import AnalysisUnit, TagTableUnit
     from repro.study.scheduler import ResultBroker
     from repro.study.session import TraceStore
 
     assert TagTableUnit("w", 1) != AnalysisUnit("w", 1)
-    assert TagTableUnit("w", 1) != FetchUnit("w", 1)
-    assert len({TagTableUnit("w", 1), AnalysisUnit("w", 1), FetchUnit("w", 1)}) == 3
+    assert TagTableUnit("w", 1) != ("w", 1)
+    assert len({TagTableUnit("w", 1), AnalysisUnit("w", 1), ("w", 1)}) == 3
 
     workload = get_workload("synth_small")
     broker = ResultBroker(TraceStore())

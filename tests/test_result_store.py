@@ -25,7 +25,7 @@ from repro.study.result_store import ResultStore
 from repro.study.scheduler import (
     BIMODAL_VARIANT,
     ActivityUnit,
-    FetchUnit,
+    AnalysisUnit,
     ResultBroker,
     SimUnit,
     activity_config,
@@ -233,7 +233,7 @@ class TestResultStore:
             store.load(workload, SimUnit("counted", 1, "baseline32", BIMODAL_VARIANT))
             is None
         )
-        assert store.load(workload, FetchUnit("counted", 1)) is None
+        assert store.load(workload, AnalysisUnit("counted", 1)) is None
 
     def test_read_paths_do_not_create_the_directory(self, tmp_path):
         missing = tmp_path / "nope"
@@ -250,11 +250,11 @@ class TestResultStore:
         workload, _state = make_counting_workload()
         store = ResultStore(tmp_path)
         store.store(workload, self._unit(), {"a": 1})
-        store.store(workload, FetchUnit("counted", 1), {"b": 2})
+        store.store(workload, AnalysisUnit("counted", 1), {"b": 2})
         info = store.info()
         assert info["entries"] == 2
         assert info["bytes"] > 0
-        assert info["kinds"] == {"pipeline": 1, "fetch": 1}
+        assert info["kinds"] == {"pipeline": 1, "analyze": 1}
         assert store.clear() == 2
         assert store.info()["entries"] == 0
 

@@ -29,7 +29,7 @@ from repro.obs.faults import (
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.tracefile import TraceCodecError
 from repro.study.result_store import ResultStore
-from repro.study.scheduler import FetchUnit
+from repro.study.scheduler import AnalysisUnit
 from repro.study.session import ExperimentSession
 from repro.study.supervisor import SupervisedExecutor, UnitExecutionError
 from repro.study.trace_cache import (
@@ -312,7 +312,7 @@ class TestDegradedResultStore:
     @staticmethod
     def _store_one(store):
         workload = get_workload("synth_small")
-        unit = FetchUnit("synth_small", 1)
+        unit = AnalysisUnit("synth_small", 1)
         return workload, unit, store.store(workload, unit, {"value": 1})
 
     def test_write_eio_degrades_to_in_memory(self, tmp_path, capsys):
@@ -359,7 +359,7 @@ class TestDegradedResultStore:
         store = ResultStore(str(tmp_path))
         found = False
         for scale in range(1, 30):
-            unit = FetchUnit("synth_small", scale)
+            unit = AnalysisUnit("synth_small", scale)
             workload = get_workload("synth_small")
             path = store.store(workload, unit, {"scale": scale})
             if store.degraded:
@@ -431,7 +431,7 @@ class TestTempFileHygiene:
     def test_interrupted_result_write_leaves_no_temp(self, tmp_path, monkeypatch):
         store = ResultStore(str(tmp_path))
         workload = get_workload("synth_small")
-        unit = FetchUnit("synth_small", 1)
+        unit = AnalysisUnit("synth_small", 1)
 
         def interrupted(src, dst):
             raise KeyboardInterrupt
@@ -496,10 +496,9 @@ class TestSessionChaos:
         session = ExperimentSession(workloads=fast_workloads())
         results = session.run(CHEAP_IDS, jobs=2)
         assert len(results) == len(CHEAP_IDS)
-        # Both fan-outs fall back: the unit scheduler and the
-        # experiment pool each count their own degradation.
+        # Only the unit scheduler forks, so it alone degrades.
         assert _counter_values(session.registry, "parallel_fallbacks") == {
-            "fork-unavailable": 2
+            "fork-unavailable": 1
         }
         assert "fork start method unavailable" in capsys.readouterr().err
 

@@ -1,4 +1,4 @@
-"""Tests for the cached, parallel experiment engine (study.session)."""
+"""Tests for the cached experiment engine (study.session)."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.study import (
     canonical_experiment_ids,
     run_experiment,
 )
-from repro.study.session import resolve_trace
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
@@ -71,13 +70,6 @@ class TestTraceStore:
             store.trace(second)
         assert store.trace(first) is not None  # the owner still works
 
-    def test_resolve_trace_uses_store_when_given(self):
-        workload, _runs = make_counting_workload()
-        store = TraceStore()
-        records = resolve_trace(workload, 1, store)
-        assert records is store.trace(workload)
-        assert resolve_trace(workload, 1, None) is workload.trace(scale=1)
-
 
 class TestCanonicalIds:
     def test_sorted_and_alias_free(self):
@@ -89,11 +81,6 @@ class TestCanonicalIds:
     def test_no_duplicate_runners(self):
         runners = [EXPERIMENTS[name].runner for name in canonical_experiment_ids()]
         assert len(runners) == len(set(runners))
-
-    def test_spec_legacy_tuple_shape(self):
-        spec = EXPERIMENTS["table1"]
-        assert spec[0] == spec.description
-        assert spec[1] is spec.runner
 
 
 class TestExperimentSession:
@@ -161,6 +148,24 @@ class TestExperimentSession:
     def test_default_ids_are_canonical(self):
         session = ExperimentSession(workloads=FAST)
         assert session.experiment_ids() == canonical_experiment_ids()
+
+    @pytest.mark.parametrize("name", canonical_experiment_ids())
+    def test_runner_requests_only_declared_units(self, name):
+        # The property that makes the serial experiment phase free:
+        # after prepare_units, a runner computes nothing — every unit it
+        # requests was declared by its spec and is already memoized.
+        session = ExperimentSession(workloads=FAST)
+        session.prepare_units([name])
+        computed = (
+            dict(session.results.sim_misses),
+            dict(session.results.walk_misses),
+        )
+        assert any(computed), "%s declares no units" % name
+        session.run_one(name)
+        assert (
+            dict(session.results.sim_misses),
+            dict(session.results.walk_misses),
+        ) == computed
 
     def test_prepare_is_idempotent(self):
         session = ExperimentSession(workloads=FAST)

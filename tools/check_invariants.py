@@ -38,9 +38,8 @@ Two documentation invariants ride along:
 6. **Scheme registration** — every compression scheme registered in
    ``repro.core.compress.SCHEME_REGISTRY`` must also be soundness
    cross-checked (a member of ``crosscheck.DEFAULT_SCHEMES``) and
-   surfaced by ``repro list`` (the CLI references ``scheme_names``);
-   every legacy ``extension.SCHEMES`` name must be in the registry.  A
-   scheme that is registered but never cross-checked could silently
+   surfaced by ``repro list`` (the CLI references ``scheme_names``).
+   A scheme that is registered but never cross-checked could silently
    under-claim bits in every table it appears in.
 
 7. **Fault-point discipline** — every ``faults.fire("...")`` call site
@@ -50,6 +49,12 @@ Two documentation invariants ride along:
    site outside ``faults.py`` (a dead point would let chaos specs pass
    vacuously), and every point must be documented (backticked) in
    ``docs/ROBUSTNESS.md``.
+
+8. **Supervised forking** — nothing may fork without supervision: no
+   module under ``src/repro`` other than ``repro/study/supervisor.py``
+   may construct a ``Pool(...)`` or ``Process(...)`` (bare or as an
+   attribute, e.g. ``context.Pool``), so every worker process goes
+   through the retrying, quarantining ``SupervisedExecutor``.
 
 Everything here is AST-based: the checker parses sources, it never
 imports ``repro`` (so it runs before the package does, and a syntax
@@ -149,6 +154,19 @@ def _assigned_string_tuple(tree, name):
             if name in targets:
                 return _tuple_of_strings(node.value)
     return None
+
+
+def _src_files():
+    """Repo-relative paths of every module under ``src/repro``."""
+    for dirpath, dirnames, filenames in os.walk(
+        os.path.join(SRC_ROOT, "repro")
+    ):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.relpath(
+                    os.path.join(dirpath, filename), REPO_ROOT
+                )
 
 
 def _iter_modules(package):
@@ -649,25 +667,16 @@ def _imports_package(tree, package):
 def check_observability(errors):
     """Invariant 5: all timing goes through repro.obs, nowhere else."""
     obs_root = os.path.join("src", "repro", "obs") + os.sep
-    for dirpath, dirnames, filenames in os.walk(
-        os.path.join(SRC_ROOT, "repro")
-    ):
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        for filename in sorted(filenames):
-            if not filename.endswith(".py"):
-                continue
-            relative = os.path.relpath(
-                os.path.join(dirpath, filename), REPO_ROOT
+    for relative in _src_files():
+        if relative.startswith(obs_root):
+            continue
+        if _references_name(_parse(relative), "perf_counter"):
+            errors.append(
+                "%s references perf_counter directly: time through "
+                "repro.obs.tracing.span (the one sanctioned stopwatch) "
+                "so the tracer and metrics registry observe it"
+                % relative
             )
-            if relative.startswith(obs_root):
-                continue
-            if _references_name(_parse(relative), "perf_counter"):
-                errors.append(
-                    "%s references perf_counter directly: time through "
-                    "repro.obs.tracing.span (the one sanctioned stopwatch) "
-                    "so the tracer and metrics registry observe it"
-                    % relative
-                )
     for relative_path in INSTRUMENTED_MODULES:
         if not os.path.exists(os.path.join(REPO_ROOT, relative_path)):
             errors.append("%s: file missing" % relative_path)
@@ -694,20 +703,6 @@ def _assigned_dict_string_keys(tree, name):
                         return None
                     keys.append(key.value)
                 return tuple(keys)
-    return None
-
-
-def _assigned_dict_value_names(tree, name):
-    """Identifier names among a ``NAME = {...}`` dict literal's values."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if name in targets and isinstance(node.value, ast.Dict):
-                return tuple(
-                    value.id
-                    for value in node.value.values
-                    if isinstance(value, ast.Name)
-                )
     return None
 
 
@@ -746,26 +741,6 @@ def check_registered_schemes(errors):
                 "%s: DEFAULT_SCHEMES names %r but SCHEME_REGISTRY does "
                 "not register it" % (crosscheck_path, name)
             )
-    # The legacy extension.SCHEMES table keys by ``X.name`` attribute, so
-    # compare the singleton identifiers its values reference instead:
-    # every legacy scheme object must also be a registry value.
-    legacy = _assigned_dict_value_names(
-        _parse("src/repro/core/extension.py"), "SCHEMES"
-    )
-    registry_values = _assigned_dict_value_names(
-        _parse(registry_path), "SCHEME_REGISTRY"
-    )
-    if legacy is None:
-        errors.append(
-            "src/repro/core/extension.py: SCHEMES is not a dict literal"
-        )
-    elif registry_values is not None:
-        for name in legacy:
-            if name not in registry_values:
-                errors.append(
-                    "src/repro/core/extension.py: scheme singleton %s is "
-                    "absent from compress.SCHEME_REGISTRY" % name
-                )
     if not _references_name(_parse("src/repro/cli.py"), "scheme_names"):
         errors.append(
             "src/repro/cli.py: `repro list` no longer references "
@@ -784,35 +759,26 @@ def _fired_points():
     """``(relative_path, point)`` for every faults.fire("...") in src."""
     fired = []
     faults_relative = FAULTS_PATH.replace("/", os.sep)
-    for dirpath, dirnames, filenames in os.walk(
-        os.path.join(SRC_ROOT, "repro")
-    ):
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        for filename in sorted(filenames):
-            if not filename.endswith(".py"):
+    for relative in _src_files():
+        if relative == faults_relative:
+            continue
+        for node in ast.walk(_parse(relative)):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fire"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "faults"
+            ):
                 continue
-            relative = os.path.relpath(
-                os.path.join(dirpath, filename), REPO_ROOT
-            )
-            if relative == faults_relative:
-                continue
-            for node in ast.walk(_parse(relative)):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "fire"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "faults"
-                ):
-                    continue
-                if (
-                    node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                ):
-                    fired.append((relative, node.args[0].value))
-                else:
-                    fired.append((relative, None))
+            if (
+                node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                fired.append((relative, node.args[0].value))
+            else:
+                fired.append((relative, None))
     return fired
 
 
@@ -860,6 +826,34 @@ def check_fault_points(errors):
             )
 
 
+#: The one module allowed to construct worker processes.
+SUPERVISOR_PATH = "src/repro/study/supervisor.py"
+
+#: Constructor names that start worker processes.
+FORKING_CONSTRUCTORS = ("Pool", "Process")
+
+
+def check_supervised_forking(errors):
+    """Invariant 8: only the supervisor constructs Pool/Process objects."""
+    for relative in _src_files():
+        if relative == SUPERVISOR_PATH.replace("/", os.sep):
+            continue
+        for node in ast.walk(_parse(relative)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)
+            )
+            if name in FORKING_CONSTRUCTORS:
+                errors.append(
+                    "%s:%d constructs %s(...) outside %s — worker "
+                    "processes must go through the SupervisedExecutor"
+                    % (relative, node.lineno, name, SUPERVISOR_PATH)
+                )
+
+
 def main():
     errors = []
     check_fingerprint_coverage(errors)
@@ -869,6 +863,7 @@ def main():
     check_registered_hierarchies(errors)
     check_registered_schemes(errors)
     check_fault_points(errors)
+    check_supervised_forking(errors)
     check_cli_docs(errors)
     check_docstrings(errors)
     check_observability(errors)

@@ -9,10 +9,8 @@ persistent result store instead of recomputed), decode throughput of
 the trace codec (full-list vs record-at-a-time streaming), the fused
 trace-walk studies cold vs warm, serial vs parallel scheduling of
 independent experiments over a shared, pre-materialized TraceStore,
-raw simulation throughput per registered pipeline kernel (the
-reference-vs-tabular speedup lands in the benchmark JSON artifact),
-hierarchy-classification throughput per registered memory-hierarchy
-backend (the reference-vs-memo speedup, same artifact), and static
+raw simulation throughput of the production pipeline,
+classification throughput of the memoized memory hierarchy, and static
 tag-table build throughput with the static-byte vs byte2 stored-bits
 ratio tracked alongside (compile-time tags vs dynamic 2-bit tags).
 """
@@ -23,9 +21,9 @@ import time
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import InOrderPipeline, get_organization, kernel_names
+from repro.pipeline import InOrderPipeline, get_organization
 from repro.sim import tracefile
-from repro.sim.hierarchy_model import get_hierarchy, hierarchy_names
+from repro.sim.hierarchy_model import MemoHierarchy
 from repro.study.session import ExperimentSession, TraceStore
 from repro.study.supervisor import SupervisedExecutor
 from repro.study.trace_cache import TraceCache
@@ -37,7 +35,7 @@ RUNNER_IDS = ("table1", "table2", "table3")
 #: Cheap synthetic workloads: cold-cache rounds stay affordable.
 RUNNER_WORKLOADS = ("synth_small", "synth_stride")
 
-#: Organizations timed by the per-kernel throughput case — the cheap
+#: Organizations timed by the simulation throughput case — the cheap
 #: baseline and the occupancy-heavy serial machine bracket the range.
 KERNEL_BENCH_ORGANIZATIONS = ("baseline32", "byte_serial")
 
@@ -141,12 +139,9 @@ def test_runner_analysis_warm(benchmark, tmp_path):
     assert len(results) == 1
 
 
-@pytest.mark.parametrize("kernel", kernel_names())
-def test_kernel_sim_throughput(benchmark, kernel):
-    # Sims-per-second per registered pipeline kernel: the tabular
-    # kernel's speedup over reference is tracked by comparing these
-    # cases in the benchmark JSON artifact (instructions simulated per
-    # round lands in extra_info, so rate = instructions / mean).
+def test_kernel_sim_throughput(benchmark):
+    # Sims-per-second of the production pipeline (instructions simulated
+    # per round lands in extra_info, so rate = instructions / mean).
     traces = _kernel_bench_traces()
     organizations = [get_organization(name) for name in KERNEL_BENCH_ORGANIZATIONS]
 
@@ -154,67 +149,32 @@ def test_kernel_sim_throughput(benchmark, kernel):
         instructions = 0
         for organization in organizations:
             for records in traces:
-                result = InOrderPipeline(organization, kernel=kernel).run(records)
+                result = InOrderPipeline(organization).run(records)
                 instructions += result.instructions
         return instructions
 
     instructions = benchmark.pedantic(run, rounds=3, iterations=1)
-    _metrics_extra_info(
-        benchmark, kernel=kernel, instructions_per_round=instructions
-    )
+    _metrics_extra_info(benchmark, instructions_per_round=instructions)
     assert instructions > 0
 
 
-@pytest.mark.parametrize("hierarchy", hierarchy_names())
-def test_hierarchy_sim_throughput(benchmark, hierarchy):
-    # Trace-classifications-per-second per registered hierarchy backend:
-    # each round drives every CI-set trace through a fresh hierarchy
-    # state via the batch classify_block API (exactly one simulation's
-    # worth of hierarchy work per trace).  The memo backend's speedup
-    # over reference is tracked by comparing these cases in the
-    # benchmark JSON artifact (rate = accesses_per_round / mean).
-    model = get_hierarchy(hierarchy)
+def test_hierarchy_sim_throughput(benchmark):
+    # Trace-classifications-per-second of the memoized hierarchy: each
+    # round drives every trace through a fresh hierarchy state via the
+    # batch classify_block API (exactly one simulation's worth of
+    # hierarchy work per trace; rate = accesses_per_round / mean).
     traces = _kernel_bench_traces()
 
     def run():
         accesses = 0
         for records in traces:
-            state = model.create()
-            state.classify_block(records)
+            MemoHierarchy().classify_block(records)
             accesses += len(records)
         return accesses
 
     accesses = benchmark.pedantic(run, rounds=3, iterations=1)
-    _metrics_extra_info(
-        benchmark, hierarchy=hierarchy, accesses_per_round=accesses
-    )
+    _metrics_extra_info(benchmark, accesses_per_round=accesses)
     assert accesses > 0
-
-
-@pytest.mark.parametrize("hierarchy", hierarchy_names())
-def test_hierarchy_full_sim_throughput(benchmark, hierarchy):
-    # End-to-end sims-per-second per hierarchy backend under the default
-    # kernel — the whole-pipeline view of the same comparison.
-    traces = _kernel_bench_traces()
-    organizations = [
-        get_organization(name) for name in KERNEL_BENCH_ORGANIZATIONS
-    ]
-
-    def run():
-        instructions = 0
-        for organization in organizations:
-            for records in traces:
-                result = InOrderPipeline(
-                    organization, hierarchy=hierarchy
-                ).run(records)
-                instructions += result.instructions
-        return instructions
-
-    instructions = benchmark.pedantic(run, rounds=3, iterations=1)
-    _metrics_extra_info(
-        benchmark, hierarchy=hierarchy, instructions_per_round=instructions
-    )
-    assert instructions > 0
 
 
 #: Workloads timed by the static-analyzer throughput case: the smallest

@@ -2,7 +2,7 @@
 
 Examples::
 
-    repro list                      # experiments, organizations, workloads, kernels
+    repro list                      # experiments, organizations, schemes, workloads
     repro list --format json        # the same enumeration for scripts
     repro table5                    # reproduce Table 5 on the full suite
     repro fig4 --scale 2            # larger inputs
@@ -10,8 +10,6 @@ Examples::
     repro all                       # every table and figure in sequence
     repro all --jobs 4              # same output, analysis units in parallel
     repro all --format json         # machine-readable report
-    repro all --kernel reference    # same output, oracle simulation backend
-    repro all --hierarchy reference # same output, oracle memory hierarchy
     repro all --cache-dir .cache    # persist traces + results across processes
     repro all --trace-out run.json  # Chrome trace-event timeline (Perfetto)
     repro all --jobs 4 --inject-faults 'worker.task:kill@0.1,seed=7'
@@ -25,10 +23,7 @@ Examples::
 
 The persistent cache directory (shared by the trace cache and the
 result store) defaults to the ``REPRO_CACHE_DIR`` environment variable;
-``--cache-dir`` overrides it.  The simulation backend defaults to the
-``REPRO_KERNEL`` environment variable; ``--kernel`` overrides it.  The
-memory-hierarchy backend defaults to ``REPRO_HIERARCHY``;
-``--hierarchy`` overrides it.
+``--cache-dir`` overrides it.
 
 ``--trace-out FILE`` (every subcommand) records a Chrome trace-event
 timeline of the run — session phases, broker batches, per-unit cache
@@ -51,18 +46,6 @@ import signal
 import sys
 
 from repro.obs import faults, runlog, tracing
-from repro.pipeline.kernel import (
-    ENV_KERNEL,
-    default_kernel_name,
-    get_kernel,
-    kernel_names,
-)
-from repro.sim.hierarchy_model import (
-    ENV_HIERARCHY,
-    default_hierarchy_name,
-    get_hierarchy,
-    hierarchy_names,
-)
 from repro.study.experiments import EXPERIMENTS
 from repro.study.result_store import ResultStore
 from repro.study.session import ExperimentSession
@@ -147,22 +130,6 @@ def build_parser():
         choices=("text", "json"),
         default="text",
         help="report format (default text)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help=(
-            "pipeline simulation backend (default: $%s when set, else "
-            "'tabular'); see 'repro list' for registered kernels" % ENV_KERNEL
-        ),
-    )
-    parser.add_argument(
-        "--hierarchy",
-        default=None,
-        help=(
-            "memory-hierarchy backend (default: $%s when set, else 'memo'); "
-            "see 'repro list' for registered hierarchies" % ENV_HIERARCHY
-        ),
     )
     parser.add_argument(
         "--max-retries",
@@ -666,15 +633,6 @@ def _list_main(args):
     organizations = [org.name for org in ALL_ORGANIZATIONS]
     schemes = list(scheme_names())
     workload_names = sorted(all_workloads())
-    kernels = kernel_names()
-    default_kernel = (
-        args.kernel if args.kernel is not None else default_kernel_name()
-    )
-    hierarchies = hierarchy_names()
-    default_hierarchy = (
-        args.hierarchy if args.hierarchy is not None
-        else default_hierarchy_name()
-    )
     if args.format == "json":
         payload = {
             "experiments": {
@@ -684,10 +642,6 @@ def _list_main(args):
             "organizations": organizations,
             "schemes": schemes,
             "workloads": workload_names,
-            "kernels": kernels,
-            "default_kernel": default_kernel,
-            "hierarchies": hierarchies,
-            "default_hierarchy": default_hierarchy,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -697,20 +651,6 @@ def _list_main(args):
     print("organizations: %s" % ", ".join(organizations))
     print("schemes: %s" % ", ".join(schemes))
     print("workloads: %s" % ", ".join(workload_names))
-    print(
-        "kernels: %s"
-        % ", ".join(
-            "%s (default)" % name if name == default_kernel else name
-            for name in kernels
-        )
-    )
-    print(
-        "hierarchies: %s"
-        % ", ".join(
-            "%s (default)" % name if name == default_hierarchy else name
-            for name in hierarchies
-        )
-    )
     return 0
 
 
@@ -722,18 +662,6 @@ def main(argv=None):
     if argv[:1] == ["analyze"]:
         return _analyze_main(argv[1:])
     args = build_parser().parse_args(argv)
-    try:
-        if args.kernel is not None:
-            get_kernel(args.kernel)  # unknown names exit before any work
-        else:
-            default_kernel_name()  # validates $REPRO_KERNEL
-        if args.hierarchy is not None:
-            get_hierarchy(args.hierarchy)
-        else:
-            default_hierarchy_name()  # validates $REPRO_HIERARCHY
-    except (KeyError, ValueError) as error:
-        print(error.args[0] if error.args else str(error), file=sys.stderr)
-        return 2
     if args.experiment == "list":
         return _list_main(args)
     disarm = _arm_run(args)
@@ -772,8 +700,6 @@ def _experiment_run(args, argv):
         workloads=workloads,
         scale=args.scale,
         cache_dir=cache_dir,
-        kernel=args.kernel,
-        hierarchy=args.hierarchy,
         max_retries=args.max_retries,
         unit_timeout=args.unit_timeout,
     )

@@ -51,7 +51,7 @@ def write_runlog(cache_dir, command, config, registry, tracer=None):
     """Write one manifest; returns its path.
 
     ``command`` is the argv-style invocation, ``config`` the resolved
-    run configuration (scale, workloads, kernel, hierarchy, ...),
+    run configuration (the parsed CLI options: scale, workloads, jobs, ...),
     ``registry`` the session's :class:`~repro.obs.metrics.MetricsRegistry`
     and ``tracer`` the optional :class:`~repro.obs.tracing.Tracer` whose
     span summary should ride along.

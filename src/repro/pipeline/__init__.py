@@ -37,12 +37,8 @@ from repro.pipeline.organizations import (
 )
 from repro.pipeline.kernel import (
     ExpandedTrace,
-    PipelineKernel,
     default_kernel_name,
     get_kernel,
-    kernel_names,
-    register_kernel,
-    set_default_kernel,
 )
 
 __all__ = [
@@ -52,13 +48,9 @@ __all__ = [
     "BimodalPredictor",
     "ExpandedTrace",
     "InOrderPipeline",
-    "PipelineKernel",
     "PipelineResult",
     "default_kernel_name",
     "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "set_default_kernel",
     "ALL_ORGANIZATIONS",
     "BaselineOrg",
     "ByteSerialOrg",

@@ -4,13 +4,10 @@ One engine serves all seven organizations.  Each dynamic instruction is
 expanded (by its organization) into per-stage *occupancies* — cycles the
 stage is busy and cannot accept the next instruction — plus optional
 extra *latency* on the EX side (skew latches), and dispatched with the
-classic reservation recurrence:
-
-Since the kernel redesign, :class:`InOrderPipeline` is a thin facade:
-the actual expansion + recurrence live in a pluggable backend selected
-from :mod:`repro.pipeline.kernel` (``reference`` reproduces the
-original fused loop; ``tabular`` precomputes the expansion with
-memoization).  The recurrence semantics, shared by every backend:
+classic reservation recurrence.  :class:`InOrderPipeline` is a thin
+facade over :class:`~repro.pipeline.kernel.TabularKernel`, which
+precomputes the expansion with memoization and then runs the
+recurrence:
 
 * a stage is entered one cycle after the instruction entered the
   previous stage (byte cut-through: later bytes of a serial operation
@@ -26,14 +23,13 @@ memoization).  The recurrence semantics, shared by every backend:
   EX — byte-skewed organizations resolve once the widest significant
   operand has passed through the comparator lanes).
 
-Cache and TLB stalls come from a pluggable hierarchy backend
-(:mod:`repro.sim.hierarchy_model`; ``reference`` is the original
-:class:`~repro.sim.hierarchy.MemoryHierarchy`, ``memo`` its memoized
-field-wise-identical reimplementation) with the paper's Section 3
-parameters.
+Cache and TLB stalls come from
+:class:`~repro.sim.hierarchy_model.MemoHierarchy`, a memoized
+reimplementation of :class:`~repro.sim.hierarchy.MemoryHierarchy`, with
+the paper's Section 3 parameters.
 """
 
-from repro.sim.hierarchy_model import resolve_hierarchy
+from repro.sim.hierarchy_model import MemoHierarchy
 
 
 #: Bumped whenever the meaning or shape of PipelineResult.to_dict
@@ -146,19 +142,12 @@ class PipelineResult:
 class InOrderPipeline:
     """Trace-driven timing model for one organization.
 
-    A thin facade over a pluggable :class:`~repro.pipeline.kernel.PipelineKernel`:
-    ``run`` expands the trace through the selected backend and replays
-    the reservation recurrence documented above.  ``kernel`` may be a
-    registered kernel name, a kernel instance, or ``None`` for the
-    process default (``--kernel`` / ``$REPRO_KERNEL`` / ``reference``).
-
-    ``hierarchy`` selects the memory-hierarchy backend the same way: a
-    registered :class:`~repro.sim.hierarchy_model.HierarchyModel` name
-    (``reference`` / ``memo``), a model instance, or ``None`` for the
-    process default (``--hierarchy`` / ``$REPRO_HIERARCHY``).  The
-    per-run hierarchy *state* it creates is exposed as
-    :attr:`hierarchy`; ``hierarchy_config`` parameterizes its geometry
-    and latencies (``None``: the paper's Section 3 values).
+    ``run`` expands the trace through
+    :class:`~repro.pipeline.kernel.TabularKernel` and replays the
+    reservation recurrence documented above.  The per-run
+    :class:`~repro.sim.hierarchy_model.MemoHierarchy` state is exposed
+    as :attr:`hierarchy`; ``hierarchy_config`` parameterizes its
+    geometry and latencies (``None``: the paper's Section 3 values).
 
     ``predictor`` (optional) enables the Section 3 future-work study: a
     direction predictor with ideal BTB.  Correctly predicted control
@@ -167,22 +156,17 @@ class InOrderPipeline:
     does for every branch.
     """
 
-    def __init__(self, organization, hierarchy_config=None, predictor=None,
-                 kernel=None, hierarchy=None):
+    def __init__(self, organization, hierarchy_config=None, predictor=None):
         self.organization = organization
-        self.hierarchy_model = resolve_hierarchy(hierarchy)
-        self.hierarchy = self.hierarchy_model.create(hierarchy_config)
+        self.hierarchy = MemoHierarchy(hierarchy_config)
         self.predictor = predictor
-        self.kernel = kernel
 
     def run(self, records):
         """Simulate ``records`` and return a :class:`PipelineResult`."""
-        # Imported lazily: the kernel module registers backends that
-        # construct PipelineResult, so it imports this module.
-        from repro.pipeline.kernel import resolve_kernel
+        # Imported lazily: the kernel module constructs PipelineResult,
+        # so it imports this module.
+        from repro.pipeline.kernel import default_kernel_name, get_kernel
 
-        # Delegating to kernel.run keeps the expand/simulate spans (and
-        # any future kernel-level instrumentation) in one place.
-        return resolve_kernel(self.kernel).run(
+        return get_kernel(default_kernel_name()).run(
             records, self.organization, self.hierarchy, self.predictor
         )

@@ -78,13 +78,10 @@ class Organization:
         """Extra EX completion latency beyond the busy time."""
         return 0
 
-    # Timing *plans* are the declarative source of truth for address
-    # readiness and control resolution: a plan names an anchor and an
-    # offset instead of computing a cycle, so backends that precompute
-    # the expansion (the tabular kernel) can evaluate it later against
-    # runtime EX/RD times.  The imperative address_ready/resolution_time
-    # hooks below derive from the plans; organizations should override
-    # the plan, not the hook, so every kernel agrees by construction.
+    # Timing *plans* are the only timing API for address readiness and
+    # control resolution: a plan names an anchor and an offset instead
+    # of computing a cycle, so the kernel can precompute the expansion
+    # and evaluate the plan later against runtime EX/RD times.
 
     def address_plan(self, record, info):
         """How a memory access's D-cache launch time derives from EX.
@@ -107,22 +104,6 @@ class Organization:
         if record.instr.opcode in (Opcode.J, Opcode.JAL):
             return ("rd_end", 0)  # target computable at decode
         return ("ex_end", 0)
-
-    def address_ready(self, record, info, ex_start, ex_end):
-        """Cycle at which a memory access may index the D-cache."""
-        kind, offset = self.address_plan(record, info)
-        if kind == "ex_end":
-            return ex_end
-        return ex_start + offset
-
-    def resolution_time(self, record, info, rd_end, ex_start, ex_end):
-        """Cycle at which a control instruction redirects fetch."""
-        kind, depth = self.resolution_plan(record, info)
-        if kind == "rd_end":
-            return rd_end
-        if kind == "ex_end":
-            return ex_end
-        return max(ex_start + depth, rd_end)
 
     def __repr__(self):
         return "Organization(%s)" % self.name
@@ -269,7 +250,7 @@ class ParallelSkewedOrg(Organization):
     def ex_latency(self, record, info):
         if record.mem_addr is not None:
             # Address lanes feed the byte-banked cache directly; the
-            # skew cost of memory operations lives in address_ready.
+            # skew cost of memory operations lives in address_plan.
             return 0
         return self.skew_stages + max(0, max(1, info.alu_blocks) - 1)
 
@@ -318,18 +299,11 @@ def get_organization(name):
     return _BY_NAME[name]
 
 
-def simulate(organization, records, hierarchy_config=None, kernel=None,
-             hierarchy=None):
+def simulate(organization, records, hierarchy_config=None):
     """Convenience: run ``records`` through one organization.
 
-    ``organization`` may be a name or an Organization instance;
-    ``kernel`` selects a simulation backend by name (default: the
-    process-default kernel, see :mod:`repro.pipeline.kernel`) and
-    ``hierarchy`` a memory-hierarchy backend (default: the
-    process-default model, see :mod:`repro.sim.hierarchy_model`).
+    ``organization`` may be a name or an Organization instance.
     """
     if isinstance(organization, str):
         organization = get_organization(organization)
-    return InOrderPipeline(
-        organization, hierarchy_config, kernel=kernel, hierarchy=hierarchy
-    ).run(records)
+    return InOrderPipeline(organization, hierarchy_config).run(records)

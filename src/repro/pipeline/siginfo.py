@@ -1,8 +1,10 @@
 """Per-instruction significance summary consumed by the timing models.
 
-Computing significance data (fetch bytes, operand/result blocks, ALU
-occupancy) is common to every organization, so it is done once per trace
-record and shared.
+:class:`SigInfo` carries the significance facts (fetch bytes,
+operand/result blocks, ALU occupancy) an organization reads to size its
+stages; :func:`alu_activity` runs the significance ALU for one record.
+The kernel builds one :class:`SigInfo` per significance signature; the
+kernel and the activity model both call :func:`alu_activity`.
 """
 
 from repro.core.alu import (
@@ -12,7 +14,6 @@ from repro.core.alu import (
     significance_shift,
 )
 from repro.core.extension import BYTE_SCHEME
-from repro.core.icompress import InstructionCompressor
 
 
 class SigInfo:
@@ -63,83 +64,3 @@ def alu_activity(record, scheme=BYTE_SCHEME):
         # touching the significant blocks of both operands (at least one).
         return None
     return None
-
-
-def compute_siginfo(record, scheme=BYTE_SCHEME, compressor=None,
-                    static_tags=None):
-    """Build the :class:`SigInfo` for one trace record.
-
-    With ``static_tags`` (a :class:`repro.analysis.tag_table.TagTable`)
-    the operand and result widths come from the compile-time analysis
-    instead of the dynamic per-value tags: each operand occupies the
-    byte width the analysis proved for its instruction address, however
-    narrow the runtime value happens to be.  The suite-wide crosscheck
-    guarantees the static width is never narrower than the dynamic one,
-    so a statically tagged datapath never truncates.
-    """
-    compressor = compressor or _DEFAULT_COMPRESSOR
-    fetch_bytes = compressor.bytes_fetched(record.instr)
-    if static_tags is not None:
-        # Static byte tags: one byte per block regardless of the
-        # configured scheme granularity (the tag table is byte-grained).
-        src_blocks = tuple(
-            static_tags.read_bytes(record.pc, index)
-            for index in range(len(record.read_values))
-        )
-        result_blocks = (
-            static_tags.write_bytes(record.pc)
-            if record.write_value is not None
-            else 0
-        )
-    else:
-        src_blocks = tuple(
-            scheme.significant_blocks(value) for value in record.read_values
-        )
-        result_blocks = (
-            scheme.significant_blocks(record.write_value)
-            if record.write_value is not None
-            else 0
-        )
-    if record.mem_addr is not None:
-        if static_tags is not None:
-            # Loads carry the memory value to the destination register
-            # (its static bound is the write bound); stores carry a
-            # source register whose bound the read tags already cover.
-            if record.mem_is_store:
-                value_blocks = max(src_blocks) if src_blocks else 4
-            else:
-                value_blocks = static_tags.write_bytes(record.pc)
-            size_blocks = max(1, record.mem_size)
-        else:
-            block_bytes = scheme.block_bits // 8
-            value_blocks = scheme.significant_blocks(record.mem_value)
-            size_blocks = max(1, record.mem_size // block_bytes)
-        mem_blocks = min(value_blocks, size_blocks)
-    else:
-        mem_blocks = 0
-    if static_tags is not None:
-        # A statically tagged ALU is sized by the widest proven operand
-        # of the instruction, not by the runtime values.
-        alu_blocks = (
-            max(1, max(src_blocks) if src_blocks else 1)
-            if record.alu_kind is not None
-            else 0
-        )
-        return SigInfo(fetch_bytes, src_blocks, result_blocks, mem_blocks,
-                       alu_blocks, None)
-    result = alu_activity(record, scheme)
-    if result is not None:
-        alu_blocks = max(1, result.blocks_operated)
-    elif record.alu_kind in ("mult", "div"):
-        a_blocks = scheme.significant_blocks(record.alu_a)
-        b_blocks = scheme.significant_blocks(record.alu_b)
-        alu_blocks = max(a_blocks, b_blocks)
-    elif record.alu_kind == "lui":
-        alu_blocks = max(1, result_blocks)
-    else:
-        alu_blocks = 0
-    return SigInfo(fetch_bytes, src_blocks, result_blocks, mem_blocks,
-                   alu_blocks, result)
-
-
-_DEFAULT_COMPRESSOR = InstructionCompressor()

@@ -7,26 +7,15 @@ producing per-instruction :class:`~repro.sim.trace.TraceRecord` streams,
 plus parameterized cache/TLB models assembled into the paper's memory
 hierarchy by :class:`~repro.sim.hierarchy.MemoryHierarchy`.
 
-Timing simulation selects a hierarchy *backend* through the registry in
-:mod:`repro.sim.hierarchy_model`: ``reference`` wraps
-:class:`~repro.sim.hierarchy.MemoryHierarchy` unchanged; ``memo`` is a
-memoized, field-wise-identical reimplementation.
+Timing simulation consults
+:class:`~repro.sim.hierarchy_model.MemoHierarchy`, a memoized,
+field-wise-identical reimplementation of
+:class:`~repro.sim.hierarchy.MemoryHierarchy`.
 """
 
 from repro.sim.cache import Cache, CacheConfig
 from repro.sim.hierarchy import PAPER_HIERARCHY, HierarchyConfig, MemoryHierarchy
-from repro.sim.hierarchy_model import (
-    DEFAULT_HIERARCHY,
-    ENV_HIERARCHY,
-    HierarchyModel,
-    MemoHierarchy,
-    default_hierarchy_name,
-    get_hierarchy,
-    hierarchy_names,
-    register_hierarchy,
-    resolve_hierarchy,
-    set_default_hierarchy,
-)
+from repro.sim.hierarchy_model import MemoHierarchy
 from repro.sim.interpreter import Interpreter, SimulationError
 from repro.sim.loader import load_program
 from repro.sim.machine import Machine
@@ -54,16 +43,7 @@ __all__ = [
     "PAPER_HIERARCHY",
     "HierarchyConfig",
     "MemoryHierarchy",
-    "DEFAULT_HIERARCHY",
-    "ENV_HIERARCHY",
-    "HierarchyModel",
     "MemoHierarchy",
-    "default_hierarchy_name",
-    "get_hierarchy",
-    "hierarchy_names",
-    "register_hierarchy",
-    "resolve_hierarchy",
-    "set_default_hierarchy",
     "Interpreter",
     "SimulationError",
     "load_program",

@@ -7,12 +7,12 @@
 The hierarchy returns *stall* cycles beyond the 1-cycle pipelined access
 that the IF/MEM stage already accounts for.
 
-:class:`MemoryHierarchy` is the ``reference`` backend of the pluggable
-hierarchy registry (:mod:`repro.sim.hierarchy_model`).  Pipeline kernels
-consume it through the narrow timing protocol (:meth:`ifetch_stall` /
-:meth:`data_stall` / :meth:`classify_block`); the richer per-access
-:class:`AccessResult` path stays for the activity model and for tests
-that inspect individual accesses.
+:class:`MemoryHierarchy` serves two roles.  The activity model walks it
+through the per-access :class:`AccessResult` path.  Through the narrow
+timing protocol (:meth:`ifetch_stall` / :meth:`data_stall` /
+:meth:`classify_block`) it is the test oracle for
+:class:`~repro.sim.hierarchy_model.MemoHierarchy`, the memoized
+reimplementation the pipeline kernel consults.
 """
 
 from repro.sim.cache import Cache, CacheConfig
@@ -168,10 +168,11 @@ class MemoryHierarchy:
 
     # ------------------------------------------------- narrow timing protocol
     #
-    # The pipeline kernels consume every hierarchy backend through these
-    # three methods (see repro.sim.hierarchy_model); they return bare
-    # stall-cycle integers, leaving the AccessResult object path to
-    # consumers that inspect hit/fill/writeback flags per access.
+    # The same three methods MemoHierarchy implements (see
+    # repro.sim.hierarchy_model), so the differential suites can run the
+    # kernels over either; they return bare stall-cycle integers, leaving
+    # the AccessResult object path to consumers that inspect
+    # hit/fill/writeback flags per access.
 
     def ifetch_stall(self, address):
         """Stall cycles of one instruction fetch at ``address``."""

@@ -1,216 +1,48 @@
-"""Pluggable memory-hierarchy timing backends: ``reference`` and ``memo``.
+"""The memoized memory hierarchy the pipeline kernel consults.
 
-Since PR 5 the stateful hierarchy/TLB model is the dominant per-record
-cost in every pipeline simulation: each dynamic instruction performs one
-instruction-side access (ITLB + L1I + possibly L2) and loads/stores add
-a data-side access, and the ``reference`` structures walk per-set Python
-lists and build an :class:`~repro.sim.hierarchy.AccessResult` object per
-access.  This module makes the hierarchy a pluggable component behind
-the same registry discipline as :mod:`repro.pipeline.kernel`:
+Each dynamic instruction performs one instruction-side access (ITLB +
+L1I + possibly L2), and loads/stores add a data-side access, so the
+hierarchy is a per-record cost in every pipeline simulation.
+:class:`MemoHierarchy` reimplements the geometry and LRU / write-back /
+write-allocate semantics of :class:`~repro.sim.hierarchy.MemoryHierarchy`
+for that hot loop:
 
-* :class:`HierarchyModel` — the protocol.  A model is a stateless
-  factory whose :meth:`~HierarchyModel.create` returns a fresh per-run
-  *hierarchy state* implementing the narrow timing protocol kernels
-  consume:
+* **per-static-instruction access classification**: the ITLB set/tag
+  and L2 line of each fetch are pure functions of the PC, so they are
+  computed once per *static* instruction and memoized (traces revisit
+  the same few hundred PCs thousands of times — the same regularity
+  the kernel's expansion memo exploits);
+* **memoized (set-index, tag, state) transitions**: set contents are
+  immutable tuples of tag/dirty words, and the LRU transition for
+  ``(state, tag, is_write)`` — hit?, next state, evicted victim — is
+  computed once and replayed from a dict thereafter.  States are
+  tag-relative, so every set of a structure shares one transition
+  table;
+* **a same-line fast path**: consecutive accesses to one cache line
+  (the common case for straight-line fetch and for stack/buffer data
+  runs) are L1-resident MRU hits with no state change, so they fold
+  into two counters and skip the structures entirely.
 
-  - ``ifetch_stall(address) -> int`` — stall cycles of one fetch;
-  - ``data_stall(address, is_store=False) -> int`` — stall cycles of
-    one data access;
-  - ``classify_block(records) -> [(ifetch_stall, data_stall), ...]`` —
-    the batch form: per-record stall latencies in record order, for
-    consumers (e.g. a future columnar ``vector`` kernel) that want the
-    hierarchy walked in one call per block instead of two per record;
-  - ``stats() -> dict`` — the per-structure counter dictionaries that
-    ride into :class:`~repro.pipeline.base.PipelineResult`.
+The kernel consumes it through a narrow timing protocol:
 
-* ``reference`` — the semantics oracle: a plain
-  :class:`~repro.sim.hierarchy.MemoryHierarchy` (the original
-  cache/TLB code, unchanged).
+* ``ifetch_stall(address) -> int`` — stall cycles of one fetch;
+* ``data_stall(address, is_store=False) -> int`` — stall cycles of one
+  data access;
+* ``classify_block(records) -> [(ifetch_stall, data_stall), ...]`` —
+  the batch form: per-record stall latencies in record order;
+* ``stats() -> dict`` — the per-structure counter dictionaries that
+  ride into :class:`~repro.pipeline.base.PipelineResult`.
 
-* ``memo`` — a drop-in reimplementation of the same geometry and LRU /
-  write-back / write-allocate semantics built for the hot loop:
-
-  - **per-static-instruction access classification**: the ITLB
-    set/tag and L2 line of each fetch are pure functions of the PC, so
-    they are computed once per *static* instruction and memoized
-    (traces revisit the same few hundred PCs thousands of times — the
-    same regularity the ``tabular`` kernel's expansion memo exploits);
-  - **memoized (set-index, tag, state) transitions**: set contents are
-    immutable tuples of tag/dirty words, and the LRU transition for
-    ``(state, tag, is_write)`` — hit?, next state, evicted victim — is
-    computed once and replayed from a dict thereafter.  States are
-    tag-relative, so every set of a structure shares one transition
-    table;
-  - **a same-line fast path**: consecutive accesses to one cache line
-    (the common case for straight-line fetch and for stack/buffer data
-    runs) are L1-resident MRU hits with no state change, so they fold
-    into two counters and skip the structures entirely.
-
-  Field-wise equality of every counter and every
-  :class:`~repro.pipeline.base.PipelineResult` against ``reference``
-  is enforced by the differential suite in ``tests/test_hierarchies.py``.
-
-Backends register by name (:func:`register_hierarchy`); callers select
-one via :func:`get_hierarchy`, the ``REPRO_HIERARCHY`` environment
-variable, the ``repro --hierarchy`` CLI flag, or
-:func:`set_default_hierarchy`.  The unit scheduler records the
-hierarchy name in every persistent result-store key (next to the kernel
-name), so cached results never mix backends.
+:class:`~repro.sim.hierarchy.MemoryHierarchy` implements the same
+protocol and is the test oracle: the differential suites in
+``tests/test_hierarchies.py`` and ``tests/test_kernels.py`` hold every
+counter and every :class:`~repro.pipeline.base.PipelineResult` to it,
+field for field.
 """
 
-import os
-
 from repro.obs import tracing
-from repro.sim.hierarchy import PAPER_HIERARCHY, MemoryHierarchy
+from repro.sim.hierarchy import PAPER_HIERARCHY
 from repro.sim.tlb import PAGE_BITS
-
-#: Environment variable naming the default hierarchy for a process.
-ENV_HIERARCHY = "REPRO_HIERARCHY"
-
-#: The semantics oracle (the original cache/TLB structures).
-REFERENCE_HIERARCHY = "reference"
-
-#: The memoized, classification-driven fast backend.
-MEMO_HIERARCHY = "memo"
-
-#: Built-in fallback when neither the env var nor set_default_hierarchy
-#: chose.  ``memo`` from day one of the split: the differential suite
-#: and the full tier-1 CI leg under each backend prove field-wise
-#: identical results, so the faster backend is the default and
-#: ``reference`` stays selectable (``--hierarchy reference`` /
-#: ``$REPRO_HIERARCHY``) as the semantics oracle.
-DEFAULT_HIERARCHY = MEMO_HIERARCHY
-
-
-class HierarchyModel:
-    """Protocol shared by every memory-hierarchy backend.
-
-    Subclasses define :attr:`name` and :meth:`create`.  Models hold no
-    per-run state: one registered instance serves every simulation in a
-    process, and each :meth:`create` call returns a fresh, independent
-    hierarchy state (caches, TLBs and counters all empty).
-    """
-
-    #: Registry name (also the value of ``REPRO_HIERARCHY`` / ``--hierarchy``).
-    name = None
-
-    def create(self, config=None):
-        """A fresh per-run hierarchy state for ``config``.
-
-        ``config`` is a :class:`~repro.sim.hierarchy.HierarchyConfig`
-        (``None`` means the paper's Section 3 parameters).  The returned
-        object implements ``ifetch_stall`` / ``data_stall`` /
-        ``classify_block`` / ``stats`` as documented in the module
-        docstring.
-        """
-        raise NotImplementedError
-
-    def __repr__(self):
-        return "%s(%r)" % (type(self).__name__, self.name)
-
-
-# --------------------------------------------------------------- registry
-
-_HIERARCHIES = {}
-
-_default_hierarchy_name = None
-
-
-def register_hierarchy(model_class):
-    """Register a :class:`HierarchyModel` subclass under its ``name``.
-
-    Usable as a class decorator.  Re-registering a taken name raises —
-    silently shadowing a backend would poison result-store keys.
-    """
-    name = model_class.name
-    if not name or not isinstance(name, str):
-        raise ValueError("hierarchy model %r has no name" % (model_class,))
-    if name in _HIERARCHIES:
-        raise ValueError("hierarchy model name %r already registered" % name)
-    _HIERARCHIES[name] = model_class()
-    return model_class
-
-
-def hierarchy_names():
-    """Sorted names of every registered hierarchy backend."""
-    return sorted(_HIERARCHIES)
-
-
-def get_hierarchy(name):
-    """The registered model instance for ``name`` (KeyError if unknown)."""
-    try:
-        return _HIERARCHIES[name]
-    except KeyError:
-        raise KeyError(
-            "unknown hierarchy model %r; available: %s"
-            % (name, ", ".join(hierarchy_names()))
-        )
-
-
-def default_hierarchy_name():
-    """The process-default hierarchy name.
-
-    Resolution order: :func:`set_default_hierarchy` (the ``--hierarchy``
-    CLI flag) > the ``REPRO_HIERARCHY`` environment variable > ``memo``.
-    An unknown name in the environment raises ``ValueError`` rather
-    than silently simulating with the wrong backend.
-    """
-    if _default_hierarchy_name is not None:
-        return _default_hierarchy_name
-    env = os.environ.get(ENV_HIERARCHY)
-    if env:
-        if env not in _HIERARCHIES:
-            raise ValueError(
-                "$%s names unknown hierarchy model %r; available: %s"
-                % (ENV_HIERARCHY, env, ", ".join(hierarchy_names()))
-            )
-        return env
-    return DEFAULT_HIERARCHY
-
-
-def set_default_hierarchy(name):
-    """Set (or with ``None`` reset) the process-default hierarchy."""
-    global _default_hierarchy_name
-    if name is not None and name not in _HIERARCHIES:
-        raise ValueError(
-            "unknown hierarchy model %r; available: %s"
-            % (name, ", ".join(hierarchy_names()))
-        )
-    _default_hierarchy_name = name
-
-
-def resolve_hierarchy(hierarchy=None):
-    """Coerce ``hierarchy`` (None, name, or instance) to a model instance."""
-    if hierarchy is None:
-        return _HIERARCHIES[default_hierarchy_name()]
-    if isinstance(hierarchy, str):
-        return get_hierarchy(hierarchy)
-    return hierarchy
-
-
-# ----------------------------------------------------- reference backend
-
-
-@register_hierarchy
-class ReferenceHierarchyModel(HierarchyModel):
-    """The original structures, untouched: the semantics oracle.
-
-    :meth:`create` returns a plain
-    :class:`~repro.sim.hierarchy.MemoryHierarchy`, whose narrow timing
-    protocol (``ifetch_stall`` / ``data_stall`` / ``classify_block``)
-    wraps the classic per-access ``AccessResult`` path.  The
-    differential suite holds every other backend to this one.
-    """
-
-    name = REFERENCE_HIERARCHY
-
-    def create(self, config=None):
-        """A fresh :class:`~repro.sim.hierarchy.MemoryHierarchy`."""
-        return MemoryHierarchy(config)
-
-
-# ---------------------------------------------------------- memo backend
-
 
 class _MemoTLB:
     """Tag-tuple TLB with a shared ``(state, tag)`` transition memo.
@@ -584,9 +416,7 @@ class MemoHierarchy:
         has one), so a block-at-a-time consumer and a record-at-a-time
         consumer observe identical hierarchies.
         """
-        with tracing.span(
-            "hierarchy.classify_block", "compute", hierarchy=MEMO_HIERARCHY,
-        ) as handle:
+        with tracing.span("hierarchy.classify_block", "compute") as handle:
             ifetch_stall = self.ifetch_stall
             data_stall = self.data_stall
             latencies = []
@@ -615,14 +445,3 @@ class MemoHierarchy:
 
     def __repr__(self):
         return "MemoHierarchy(%r)" % (self.config,)
-
-
-@register_hierarchy
-class MemoHierarchyModel(HierarchyModel):
-    """Factory for :class:`MemoHierarchy` states (the ``memo`` backend)."""
-
-    name = MEMO_HIERARCHY
-
-    def create(self, config=None):
-        """A fresh :class:`MemoHierarchy` (empty structures and memos)."""
-        return MemoHierarchy(config)

@@ -86,7 +86,7 @@ _ENGINE_PACKAGES = ("repro.pipeline", "repro.core", "repro.analysis")
 #: Modules outside those packages that also shape stored payloads: the
 #: trace-walk reducers define the walk-unit payload layout and merge
 #: semantics, so editing a walker must invalidate its stored results.
-#: The memory-hierarchy backends shape every PipelineResult's stall and
+#: The memory-hierarchy models shape every PipelineResult's stall and
 #: hierarchy_stats fields; they live under ``repro.sim`` (covered by the
 #: toolchain fingerprint too, but an engine edit must invalidate engine
 #: results even when the trace codec is untouched).

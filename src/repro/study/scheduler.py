@@ -4,8 +4,7 @@ The experiments decompose into fine-grained *units* — one pipeline
 simulation, activity-model pass, trace walk or static analysis over one
 ``(workload, scale)``.  Units are the scheduler's currency:
 
-* :class:`SimUnit` — ``simulate(organization, trace)`` under a named
-  pipeline kernel (see :mod:`repro.pipeline.kernel`), optionally with
+* :class:`SimUnit` — ``simulate(organization, trace)``, optionally with
   a bimodal predictor attached (the Section 3 future-work variant);
 * :class:`ActivityUnit` — an :class:`~repro.pipeline.activity.ActivityModel`
   pass under a declarative configuration key;
@@ -62,10 +61,8 @@ from repro.core.compress import get_scheme
 from repro.core.extension import BYTE_SCHEME
 from repro.pipeline.activity import ActivityModel, ActivityReport
 from repro.pipeline.base import InOrderPipeline, PipelineResult
-from repro.pipeline.kernel import default_kernel_name, get_kernel
 from repro.pipeline.organizations import get_organization
 from repro.pipeline.predictor import BimodalPredictor
-from repro.sim.hierarchy_model import default_hierarchy_name, get_hierarchy
 from repro.sim.tracefile import TraceCodecError
 from repro.study.session import TraceStore
 from repro.study.supervisor import SupervisedExecutor
@@ -129,10 +126,6 @@ class _Unit:
         """Human-readable counter key: ``workload@scale/slug``."""
         return "%s@%d/%s" % (self.workload, self.scale, self.slug())
 
-    def pinned(self, kernel, hierarchy):
-        """This unit under a broker's backends (only simulations have any)."""
-        return self
-
     def compute(self, workload, traces):
         """``(result, simulation seconds or None)``, counter-free.
 
@@ -150,47 +143,17 @@ class _Unit:
 
 class SimUnit(
     _Unit,
-    namedtuple(
-        "SimUnit",
-        ("workload", "scale", "organization", "variant", "kernel", "hierarchy"),
-    ),
+    namedtuple("SimUnit", ("workload", "scale", "organization", "variant")),
 ):
-    """One pipeline simulation:
-    (workload, scale, organization, variant, kernel, hierarchy).
-
-    ``kernel`` names the simulation backend and ``hierarchy`` the
-    memory-hierarchy backend (``None`` resolves each to its process
-    default at construction, so units built by experiment specs and
-    units built by runners always agree).  Because both names are part
-    of the unit identity — and of :meth:`descriptor`, hence of every
-    persistent result-store key — cached results from different
-    backends can never mix.
-    """
+    """One pipeline simulation: (workload, scale, organization, variant)."""
 
     __slots__ = ()
     kind = "pipeline"
 
-    def __new__(cls, workload, scale, organization, variant=None, kernel=None,
-                hierarchy=None):
+    def __new__(cls, workload, scale, organization, variant=None):
         if variant not in (None, BIMODAL_VARIANT):
             raise ValueError("unknown simulation variant %r" % (variant,))
-        if kernel is None:
-            kernel = default_kernel_name()
-        else:
-            try:
-                get_kernel(kernel)  # unknown names fail here, not at compute
-            except KeyError as error:
-                raise ValueError(str(error))
-        if hierarchy is None:
-            hierarchy = default_hierarchy_name()
-        else:
-            try:
-                get_hierarchy(hierarchy)  # unknown names fail here too
-            except KeyError as error:
-                raise ValueError(str(error))
-        return super().__new__(
-            cls, workload, scale, organization, variant, kernel, hierarchy
-        )
+        return super().__new__(cls, workload, scale, organization, variant)
 
     def descriptor(self):
         """JSON-able identity for the persistent result store."""
@@ -198,8 +161,6 @@ class SimUnit(
             "kind": self.kind,
             "organization": self.organization,
             "variant": self.variant,
-            "kernel": self.kernel,
-            "hierarchy": self.hierarchy,
         }
 
     def slug(self):
@@ -208,12 +169,6 @@ class SimUnit(
             return self.organization
         return "%s+%s" % (self.organization, self.variant)
 
-    def pinned(self, kernel, hierarchy):
-        """This simulation under the given kernel and hierarchy backends."""
-        if self.kernel == kernel and self.hierarchy == hierarchy:
-            return self
-        return self._replace(kernel=kernel, hierarchy=hierarchy)
-
     def compute(self, workload, traces):
         """Simulate the organization over the trace; timed."""
         records = traces.trace(workload, scale=self.scale)
@@ -221,12 +176,10 @@ class SimUnit(
             BimodalPredictor() if self.variant == BIMODAL_VARIANT else None
         )
         pipeline = InOrderPipeline(
-            get_organization(self.organization), predictor=predictor,
-            kernel=self.kernel, hierarchy=self.hierarchy,
+            get_organization(self.organization), predictor=predictor
         )
         with tracing.span(
             "pipeline.run:%s" % self.label(), "compute",
-            kernel=self.kernel, hierarchy=self.hierarchy,
             organization=self.organization, workload=self.workload,
         ) as handle:
             result = pipeline.run(records)
@@ -428,24 +381,14 @@ class ResultBroker:
     * :attr:`disk_hits` — units loaded from the persistent store.
     """
 
-    def __init__(self, trace_store, result_store=None, kernel=None,
-                 hierarchy=None, max_retries=None, unit_timeout=None):
+    def __init__(self, trace_store, result_store=None, max_retries=None,
+                 unit_timeout=None):
         self.traces = trace_store
         self.store = result_store
         #: Supervision knobs for the parallel path (``--max-retries`` /
         #: ``--unit-timeout``); ``None`` means the supervisor defaults.
         self.max_retries = max_retries
         self.unit_timeout = unit_timeout
-        #: Pipeline kernel this broker schedules with.  Session-scoped:
-        #: requests and run_units pin it on every SimUnit, so a broker
-        #: never mixes backends no matter what the process default is.
-        self.kernel = kernel if kernel is not None else default_kernel_name()
-        #: Memory-hierarchy backend, pinned the same way: part of every
-        #: SimUnit identity this broker schedules, so cached results
-        #: from different hierarchy models never mix either.
-        self.hierarchy = (
-            hierarchy if hierarchy is not None else default_hierarchy_name()
-        )
         self._memo = {}
         self._workloads = {}
         #: The metrics registry every broker instrument lives in —
@@ -474,23 +417,12 @@ class ResultBroker:
         # Counter family (a unit's ``family``) -> its hit/miss counters.
         self._hits = {"sim": self.sim_hits, "walk": self.walk_hits}
         self._misses = {"sim": self.sim_misses, "walk": self.walk_misses}
-        # The per-kernel simulation timing triple, decomposed into three
-        # counters (kernel name -> value); :attr:`sim_seconds` rebuilds
-        # the report's nested shape from them.
-        self._sim_units = counter(
-            "sim_units", "computed pipeline simulations per kernel"
-        )
-        self._sim_compute_seconds = counter(
-            "sim_compute_seconds", "simulation wall seconds per kernel"
-        )
-        self._sim_instructions = counter(
-            "sim_instructions", "instructions simulated per kernel"
-        )
-        #: hierarchy name -> summed simulation wall seconds: the same
-        #: measurements bucketed by memory-hierarchy backend (the
-        #: ``hierarchy_seconds`` counter of the JSON report).
-        self.hierarchy_seconds = counter(
-            "hierarchy_seconds", "simulation wall seconds per hierarchy"
+        #: The computed simulations' ``units``, wall ``seconds`` and
+        #: ``instructions`` (the JSON report's ``sim_timings``),
+        #: including measurements merged back from forked workers.
+        self.sim_timing = counter(
+            "sim_timing",
+            "computed pipeline simulations: units, wall seconds, instructions",
         )
         #: Parallel runs that degraded to serial execution (and why) —
         #: the headless-visible form of the fork-unavailable warning.
@@ -502,23 +434,6 @@ class ResultBroker:
         # cache is bound by the TraceStore that owns it).
         if self.store is not None and hasattr(self.store, "bind_registry"):
             self.store.bind_registry(self.registry)
-
-    @property
-    def sim_seconds(self):
-        """Kernel name -> ``{"units", "seconds", "instructions"}``.
-
-        The per-kernel timing shape the JSON report's ``sim_timings``
-        field renders, rebuilt from the underlying registry counters
-        (including measurements merged back from forked workers).
-        """
-        return {
-            kernel: {
-                "units": units,
-                "seconds": self._sim_compute_seconds.get(kernel, 0.0),
-                "instructions": self._sim_instructions.get(kernel, 0),
-            }
-            for kernel, units in self._sim_units.items()
-        }
 
     def reset(self):
         """Zero every counter in the shared registry; the memo is kept.
@@ -532,20 +447,9 @@ class ResultBroker:
 
     # ------------------------------------------------------------- requests
 
-    def pipeline_result(self, workload, organization, scale=1, variant=None,
-                        kernel=None, hierarchy=None):
-        """Memoized ``simulate(organization, trace)`` for one workload.
-
-        ``kernel`` and ``hierarchy`` default to the broker's own
-        (session-scoped) backends.
-        """
-        if kernel is None:
-            kernel = self.kernel
-        if hierarchy is None:
-            hierarchy = self.hierarchy
-        unit = SimUnit(
-            workload.name, scale, organization, variant, kernel, hierarchy
-        )
+    def pipeline_result(self, workload, organization, scale=1, variant=None):
+        """Memoized ``simulate(organization, trace)`` for one workload."""
+        unit = SimUnit(workload.name, scale, organization, variant)
         return self._request([unit], workload)[0]
 
     def activity_report(self, model, workload, scale=1):
@@ -607,19 +511,11 @@ class ResultBroker:
         as full record lists are materialized here in the parent, exactly
         once, so forked workers inherit them; a fully warm run therefore
         touches no trace at all — zero decodes, zero walks.
-
-        Every unit is pinned to the broker's kernel and hierarchy
-        (:meth:`_Unit.pinned`): the experiment specs build simulation
-        units without a session reference, so this is where the
-        session's ``--kernel`` / ``--hierarchy`` choices take effect.
         """
         with tracing.span(
             "broker.run_units", "broker", requested=len(units), jobs=jobs
         ) as handle:
-            computed = self._resolve(
-                [unit.pinned(self.kernel, self.hierarchy) for unit in units],
-                workloads_by_name, jobs,
-            )
+            computed = self._resolve(units, workloads_by_name, jobs)
             handle.note(computed=computed)
         return computed
 
@@ -628,7 +524,7 @@ class ResultBroker:
 
         The single-request path of the study-facing methods: the same
         memory → disk → compute resolution as :meth:`run_units`, in
-        this process, without re-pinning backends.
+        this process.
         """
         self._resolve(units, {workload.name: workload}, jobs=1)
         return [self._memo[unit] for unit in units]
@@ -845,14 +741,12 @@ class ResultBroker:
         """Memoize a freshly computed result and write it back to disk.
 
         ``seconds`` is a simulation's compute time, booked into
-        :attr:`sim_seconds` under its kernel (``None`` for the other
-        unit kinds).
+        :attr:`sim_timing` (``None`` for the other unit kinds).
         """
         if seconds is not None:
-            self._sim_units.inc(unit.kernel)
-            self._sim_compute_seconds.inc(unit.kernel, seconds)
-            self._sim_instructions.inc(unit.kernel, result.instructions)
-            self.hierarchy_seconds.inc(unit.hierarchy, seconds)
+            self.sim_timing.inc("units")
+            self.sim_timing.inc("seconds", seconds)
+            self.sim_timing.inc("instructions", result.instructions)
         self._memo[unit] = result
         self._count(self._misses[unit.family], unit)
         if self.store is not None:

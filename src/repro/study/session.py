@@ -222,10 +222,7 @@ class ExperimentSession:
     """
 
     def __init__(self, workloads=None, scale=1, store=None, cache_dir=None,
-                 kernel=None, hierarchy=None, max_retries=None,
-                 unit_timeout=None):
-        from repro.pipeline.kernel import default_kernel_name
-        from repro.sim.hierarchy_model import default_hierarchy_name
+                 max_retries=None, unit_timeout=None):
         from repro.study.scheduler import ResultBroker
 
         self.workloads = (
@@ -261,48 +258,19 @@ class ExperimentSession:
             self.store.results = ResultBroker(
                 self.store,
                 result_store,
-                kernel=kernel if kernel is not None else default_kernel_name(),
-                hierarchy=(
-                    hierarchy
-                    if hierarchy is not None
-                    else default_hierarchy_name()
-                ),
                 max_retries=max_retries,
                 unit_timeout=unit_timeout,
-            )
-        elif kernel is not None and self.store.results.kernel != kernel:
-            # A pre-built broker pins its own kernel; silently simulating
-            # under a different backend than the caller asked for is the
-            # cross-backend mixing the unit keys exist to prevent.
-            raise ValueError(
-                "store already carries a broker for kernel %r; "
-                "requested %r" % (self.store.results.kernel, kernel)
-            )
-        elif hierarchy is not None and self.store.results.hierarchy != hierarchy:
-            # Same rule for the memory-hierarchy backend.
-            raise ValueError(
-                "store already carries a broker for hierarchy %r; "
-                "requested %r" % (self.store.results.hierarchy, hierarchy)
             )
         #: The unit scheduler: memoizes per-(workload, organization)
         #: simulation/analysis results over this session's trace store.
         self.results = self.store.results
-        # Supervision knobs apply to a pre-built broker too (unlike the
-        # kernel/hierarchy pins they carry no cached-result identity,
-        # so adopting the caller's values cannot mix anything).
+        # Supervision knobs apply to a pre-built broker too (they carry
+        # no cached-result identity, so adopting the caller's values
+        # cannot mix anything).
         if max_retries is not None:
             self.results.max_retries = max_retries
         if unit_timeout is not None:
             self.results.unit_timeout = unit_timeout
-        #: Name of the pipeline kernel this session simulates with.
-        #: Session-scoped, not process-global: the broker pins it on
-        #: every SimUnit it schedules, so two sessions in one process
-        #: can run different backends.  Resolving the default eagerly
-        #: also validates $REPRO_KERNEL before any trace work.
-        self.kernel = self.results.kernel
-        #: Name of the memory-hierarchy backend this session simulates
-        #: with (same session-scoped pinning as :attr:`kernel`).
-        self.hierarchy = self.results.hierarchy
 
     # ------------------------------------------------------------ scheduling
 
@@ -462,6 +430,9 @@ class ExperimentSession:
 
     def report_json(self, results, indent=2):
         """Machine-readable report: ids, texts, timings, trace counters."""
+        timing = self.results.sim_timing
+        seconds = timing.get("seconds", 0.0)
+        instructions = timing.get("instructions", 0)
         payload = {
             "scale": self.scale,
             "workloads": [workload.name for workload in self.workloads],
@@ -493,30 +464,17 @@ class ExperimentSession:
             "trace_cache_dir": (
                 self.store.cache.root if self.store.cache is not None else None
             ),
-            "kernel": self.kernel,
-            "hierarchy": self.hierarchy,
             "sim_hits": dict(sorted(self.results.sim_hits.items())),
             "sim_misses": dict(sorted(self.results.sim_misses.items())),
             "walk_hits": dict(sorted(self.results.walk_hits.items())),
             "walk_misses": dict(sorted(self.results.walk_misses.items())),
             "sim_timings": {
-                kernel: {
-                    "units": timing["units"],
-                    "seconds": round(timing["seconds"], 6),
-                    "instructions": timing["instructions"],
-                    "instructions_per_second": (
-                        round(timing["instructions"] / timing["seconds"], 1)
-                        if timing["seconds"]
-                        else None
-                    ),
-                }
-                for kernel, timing in sorted(self.results.sim_seconds.items())
-            },
-            "hierarchy_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(
-                    self.results.hierarchy_seconds.items()
-                )
+                "units": timing.get("units", 0),
+                "seconds": round(seconds, 6),
+                "instructions": instructions,
+                "instructions_per_second": (
+                    round(instructions / seconds, 1) if seconds else None
+                ),
             },
             "result_disk_hits": dict(sorted(self.results.disk_hits.items())),
             "result_store_dir": (

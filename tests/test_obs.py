@@ -262,15 +262,24 @@ class TestSessionObservability:
         session = ExperimentSession(workloads=fast_workloads())
         results = session.run(["table1"])
         report = json.loads(session.report_json(results))
-        # The frozen counter schema, exactly as before the obs layer...
+        # The frozen counter schema...
         for key in (
             "scale", "workloads", "experiments", "trace_materializations",
             "trace_disk_hits", "trace_stream_hits", "decode_misses",
-            "trace_cache_dir", "kernel", "hierarchy", "sim_hits",
-            "sim_misses", "walk_hits", "walk_misses", "sim_timings",
-            "hierarchy_seconds", "result_disk_hits", "result_store_dir",
+            "trace_cache_dir", "sim_hits", "sim_misses", "walk_hits",
+            "walk_misses", "sim_timings", "result_disk_hits",
+            "result_store_dir",
         ):
             assert key in report, key
+        # ...without the backend names and the per-hierarchy seconds,
+        # which went with backend selection...
+        for key in ("kernel", "hierarchy", "hierarchy_seconds"):
+            assert key not in report, key
+        # ...and sim_timings is one object (table1 simulates nothing).
+        assert report["sim_timings"] == {
+            "units": 0, "seconds": 0.0, "instructions": 0,
+            "instructions_per_second": None,
+        }
         # ...plus the additive per-phase timings.
         timings = report["timings"]
         assert set(timings) == {"prepare_units", "experiments"}

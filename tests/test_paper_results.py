@@ -13,6 +13,8 @@ from repro.core.patterns import PatternCounter
 from repro.pipeline import ActivityModel, simulate
 from repro.workloads import get_workload
 
+from oracles.reference_kernel import compute_siginfo
+
 #: A representative cross-section of the suite, kept small so the whole
 #: test file stays fast; traces are cached on the workload objects.
 SAMPLE = ("rawcaudio", "gsm_toast", "cjpeg", "pegwit")
@@ -167,3 +169,19 @@ class TestBottleneckShape:
         # still be the single largest component.
         assert share > 0.25
         assert result.stage_excess["ex"] > result.stage_excess["rd"]
+
+    def test_section5_bandwidth_demand(self, traces):
+        # The per-stage byte demand behind the 3/2/2/1 semi-parallel
+        # widths: fetch ~3.2 bytes, ALU ~2.7, memory accesses ~2.8.
+        records = traces["rawcaudio"]
+        fetch_bytes = alu_bytes = mem_bytes = mem_count = 0
+        for record in records:
+            info = compute_siginfo(record)
+            fetch_bytes += info.fetch_bytes
+            alu_bytes += info.alu_blocks
+            if record.mem_addr is not None:
+                mem_bytes += info.mem_blocks
+                mem_count += 1
+        assert 3.0 < fetch_bytes / len(records) < 3.6     # paper: ~3.2
+        assert 1.5 < alu_bytes / len(records) < 3.5       # paper: ~2.7
+        assert 1.0 < mem_bytes / max(1, mem_count) < 3.5  # paper: ~2.8

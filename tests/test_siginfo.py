@@ -1,10 +1,13 @@
-"""Tests for the per-instruction significance summary (pipeline.siginfo)."""
+"""Tests for the per-instruction significance summary: the oracle's
+``compute_siginfo`` and ``pipeline.siginfo.alu_activity``."""
 
 
 from repro.asm import assemble
 from repro.core.extension import HALFWORD_SCHEME
-from repro.pipeline.siginfo import alu_activity, compute_siginfo
+from repro.pipeline.siginfo import alu_activity
 from repro.sim import Interpreter, load_program
+
+from oracles.reference_kernel import compute_siginfo
 
 
 def records_of(source):

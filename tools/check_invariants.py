@@ -12,9 +12,9 @@ scheme honest, and both have failed silently before they were checked:
    new module fails this check until its author decides whether editing
    it must invalidate cached traces/results.
 
-2. **Versioned payload envelopes** — every registered trace walker,
-   pipeline kernel and hierarchy model must produce payloads that ride
-   inside a versioned envelope (a ``version`` key stamped from a module
+2. **Versioned payload envelopes** — every stored payload layout and
+   every registered trace walker must produce payloads that ride inside
+   a versioned envelope (a ``version`` key stamped from a module
    constant and checked on load), so layout changes fail closed as
    cache misses instead of deserializing garbage.
 
@@ -302,27 +302,8 @@ def _class_defs(tree):
     }
 
 
-def _module_string_constants(tree):
-    """Module-level ``NAME = "literal"`` bindings."""
-    constants = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            value = node.value
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, str
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        constants[target.id] = value.value
-    return constants
-
-
-def _class_string_attr(class_node, attribute, module_constants=()):
-    """A class-level ``attribute = "..."`` string value, or None.
-
-    Also resolves one level of indirection through a module-level
-    string constant (``name = REFERENCE_KERNEL``).
-    """
+def _class_string_attr(class_node, attribute):
+    """A class-level ``attribute = "..."`` string value, or None."""
     for node in class_node.body:
         if isinstance(node, ast.Assign):
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -332,11 +313,6 @@ def _class_string_attr(class_node, attribute, module_constants=()):
                     value.value, str
                 ):
                     return value.value
-                if (
-                    isinstance(value, ast.Name)
-                    and value.id in module_constants
-                ):
-                    return module_constants[value.id]
     return None
 
 
@@ -389,84 +365,6 @@ def check_registered_walkers(errors):
                     "%s: registered walker %s does not define %s()"
                     % (relative_path, name, required)
                 )
-
-
-def check_registered_kernels(errors):
-    """Invariant 2c: every @register_kernel class is name-tagged."""
-    relative_path = "src/repro/pipeline/kernel.py"
-    tree = _parse(relative_path)
-    registered = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(
-            isinstance(decorator, ast.Name)
-            and decorator.id == "register_kernel"
-            for decorator in node.decorator_list
-        )
-    ]
-    if not registered:
-        errors.append(
-            "%s: found no @register_kernel classes" % relative_path
-        )
-        return
-    constants = _module_string_constants(tree)
-    names = []
-    for class_node in registered:
-        name = _class_string_attr(class_node, "name", constants)
-        if name is None:
-            errors.append(
-                "%s: registered kernel %s has no string `name` class "
-                "attribute (its results cannot be keyed per backend)"
-                % (relative_path, class_node.name)
-            )
-        else:
-            names.append(name)
-    duplicates = {name for name in names if names.count(name) > 1}
-    for name in sorted(duplicates):
-        errors.append(
-            "%s: kernel name %r registered more than once"
-            % (relative_path, name)
-        )
-
-
-def check_registered_hierarchies(errors):
-    """Invariant 2d: every @register_hierarchy class is name-tagged."""
-    relative_path = "src/repro/sim/hierarchy_model.py"
-    tree = _parse(relative_path)
-    registered = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(
-            isinstance(decorator, ast.Name)
-            and decorator.id == "register_hierarchy"
-            for decorator in node.decorator_list
-        )
-    ]
-    if not registered:
-        errors.append(
-            "%s: found no @register_hierarchy classes" % relative_path
-        )
-        return
-    constants = _module_string_constants(tree)
-    names = []
-    for class_node in registered:
-        name = _class_string_attr(class_node, "name", constants)
-        if name is None:
-            errors.append(
-                "%s: registered hierarchy %s has no string `name` class "
-                "attribute (its results cannot be keyed per backend)"
-                % (relative_path, class_node.name)
-            )
-        else:
-            names.append(name)
-    duplicates = {name for name in names if names.count(name) > 1}
-    for name in sorted(duplicates):
-        errors.append(
-            "%s: hierarchy name %r registered more than once"
-            % (relative_path, name)
-        )
 
 
 #: Parser-builder functions in repro.cli whose add_argument() calls
@@ -859,8 +757,6 @@ def main():
     check_fingerprint_coverage(errors)
     check_version_envelopes(errors)
     check_registered_walkers(errors)
-    check_registered_kernels(errors)
-    check_registered_hierarchies(errors)
     check_registered_schemes(errors)
     check_fault_points(errors)
     check_supervised_forking(errors)

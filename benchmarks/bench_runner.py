@@ -403,9 +403,10 @@ def test_supervised_executor_overhead(benchmark):
     pool_best = _best_of(run_pool)
     supervised_best = _best_of(run_supervised)
     shipped = benchmark.pedantic(run_supervised, rounds=3, iterations=1)
-    supervised_best = min(
-        supervised_best, min(benchmark.stats.stats.data)
-    )
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        supervised_best = min(
+            supervised_best, min(benchmark.stats.stats.data)
+        )
     ratio = supervised_best / pool_best
     _metrics_extra_info(
         benchmark,

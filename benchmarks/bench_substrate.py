@@ -1,8 +1,8 @@
 """Substrate micro-benchmarks: throughput of the building blocks.
 
 Not a paper artifact — these measure the reproduction's own moving
-parts (interpreter, compression kernels, significance ALU, cache model)
-so performance regressions in the substrate are visible.
+parts (interpreter, compression kernels, significance ALU, the memoized
+L1D structure) so performance regressions in the substrate are visible.
 """
 
 from repro.core.alu import significance_add
@@ -10,7 +10,8 @@ from repro.core.compress import compress
 from repro.core.extension import BYTE_SCHEME
 from repro.minic import compile_program
 from repro.sim import Interpreter, load_program
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.hierarchy import CacheConfig
+from repro.sim.hierarchy_model import memo_cache
 
 LOOP_PROGRAM = """
 int main() {
@@ -81,13 +82,13 @@ def test_compressed_word_roundtrip_throughput(benchmark):
 
 
 def test_cache_model_throughput(benchmark):
-    cache = Cache(CacheConfig("bench", 8 * 1024, 1, 32))
-    addresses = [(i * 97) & 0xFFFF for i in range(20_000)]
+    cache = memo_cache(CacheConfig("bench", 8 * 1024, 1, 32))
+    lines = [((i * 97) & 0xFFFF) >> cache.line_shift for i in range(20_000)]
 
     def run():
         hits = 0
-        for address in addresses:
-            hit, _ = cache.access(address)
+        for line in lines:
+            hit, _ = cache.access_line(line, False)
             hits += hit
         return hits
 

@@ -18,16 +18,22 @@ pc             PC-increment block activity (increments and redirects)
 latches        inter-stage latch bits (instruction, operands, results)
 =============  ==========================================================
 
-Line fills are charged at the line size scaled by the running average
-compression ratio of accessed data words (the trace does not expose
-whole-line contents; the approximation is documented in DESIGN.md).
+Line fills, counted on the memoized L1D structure, are charged at the
+line size scaled by the running compression ratio of accessed data
+words (the trace does not expose whole-line contents; see
+docs/ARCHITECTURE.md, "Activity accounting").  One pass memoizes the
+per-record work per operand value, ALU operation and instruction word;
+the original unmemoized loop is the test oracle in
+``tests/oracles/reference_activity.py``.
 """
 
 from repro.core.extension import BYTE_SCHEME
 from repro.core.icompress import InstructionCompressor
 from repro.core.pc import BlockSerialPC
+from repro.obs import tracing
 from repro.pipeline.siginfo import alu_activity
-from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.hierarchy import PAPER_HIERARCHY
+from repro.sim.hierarchy_model import memo_cache
 
 STAGES = (
     "fetch",
@@ -129,228 +135,207 @@ def _average_report(name, reports):
 
 
 class ActivityModel:
-    """Computes an :class:`ActivityReport` for a trace."""
+    """Computes an :class:`ActivityReport` for a trace.
 
-    def __init__(self, scheme=BYTE_SCHEME, compressor=None, hierarchy_config=None,
-                 pc_block_bits=None, latch_boundaries=4,
-                 ext_bits_in_memory=False, static_tags=None):
+    ``scheme`` sets the significance granularity of the data path and of
+    the PC incrementer (Table 5 measures an 8-bit serial PC, Table 6 a
+    16-bit one).  ``ext_bits_in_memory`` selects Section 1's option of
+    keeping extension bits in main memory: L1 line fills then arrive
+    already compressed instead of paying the full-width transfer.
+    """
+
+    def __init__(self, scheme=BYTE_SCHEME, ext_bits_in_memory=False):
         self.scheme = scheme
-        # A static tag table (repro.analysis.tag_table.TagTable) switches
-        # the value-path accounting from dynamic per-value tags to the
-        # compile-time widths: every operand moves at the byte width the
-        # analysis proved for its instruction address, with zero stored
-        # or moved extension bits.  The tag arrays see no savings — the
-        # analysis does not bound addresses — so dcache_tag stays at the
-        # baseline width.
-        self.static_tags = static_tags
-        # A custom compressor or hierarchy makes the model's output
-        # unrepresentable by the declarative config key below.
-        self._standard_config = compressor is None and hierarchy_config is None
-        self.compressor = compressor or InstructionCompressor()
-        self.hierarchy_config = hierarchy_config
-        # The PC incrementer uses the same block granularity as the data
-        # path unless explicitly overridden (Table 6 measures a 16-bit
-        # serial PC, Table 5 an 8-bit one).
-        self.pc_block_bits = pc_block_bits or scheme.block_bits
-        self.latch_boundaries = latch_boundaries
-        # Section 1 notes extension bits "could also be maintained in
-        # memory": with this enabled, L1 line fills arrive already
-        # compressed (significant bytes only) instead of paying the
-        # full-width transfer on the fill path.
         self.ext_bits_in_memory = ext_bits_in_memory
 
     def config_key(self):
         """Hashable, JSON-able description of this model's configuration.
 
         The unit scheduler memoizes :meth:`process` outputs under this
-        key; it must therefore cover everything that shapes a report.
-        Returns ``None`` for models the key cannot express (custom
-        compressor, hierarchy, or a static tag table — which is tied to
-        one specific program), which opts them out of memoization.
+        key; it covers everything that shapes a report.
         """
-        if not self._standard_config or self.scheme.name is None:
-            return None
-        if self.static_tags is not None:
-            return None
-        return (
-            self.scheme.name,
-            self.pc_block_bits,
-            self.latch_boundaries,
-            bool(self.ext_bits_in_memory),
-        )
+        return (self.scheme.name, bool(self.ext_bits_in_memory))
 
     def process(self, records, name="trace"):
         """Count baseline and compressed activity over ``records``."""
+        with tracing.span(
+            "activity.process", "compute", scheme=self.scheme.name
+        ) as handle:
+            report = self._count(records, name)
+            handle.note(records=report.instructions)
+            return report
+
+    def _count(self, records, name):
         scheme = self.scheme
         block_bits = scheme.block_bits
         ext_bits = scheme.num_ext_bits
-        static = self.static_tags
-        hierarchy = MemoryHierarchy(self.hierarchy_config)
-        pc_model = BlockSerialPC(block_bits=self.pc_block_bits)
-        baseline = {stage: 0 for stage in STAGES}
-        compressed = {stage: 0 for stage in STAGES}
-        data_bits_accessed = 0
-        data_words_accessed = 0
-        count = 0
-        previous_pc = None
-        l1d = hierarchy.l1d.config
-        tag_bits = 32 - (l1d.num_sets.bit_length() - 1) - (
-            l1d.line_bytes.bit_length() - 1
+        sig_blocks = scheme.significant_blocks
+        compressor = InstructionCompressor()
+        pc_model = BlockSerialPC(block_bits=block_bits)
+        increment = pc_model.increment
+        redirect = pc_model.redirect
+
+        l1d_config = PAPER_HIERARCHY.l1d
+        l1d = memo_cache(l1d_config)
+        access_line = l1d.access_line
+        line_shift = l1d.line_shift
+        line_bytes = l1d_config.line_bytes
+        line_bits = 8 * line_bytes
+        tag_bits = 32 - (l1d_config.num_sets.bit_length() - 1) - (
+            line_bytes.bit_length() - 1
         )
+        tag_shift = 32 - tag_bits
+        words_per_line = line_bytes // 4
+        fill_floor = words_per_line * (block_bits + ext_bits)
+        fill_ext_bits = words_per_line * ext_bits
+        ext_bits_in_memory = self.ext_bits_in_memory
+
+        # Per-pass memos (nothing outlives this call): significant data
+        # bits per value, compressed ALU bits per (kind, a, b) — -1 when
+        # the operation has no ALU activity — and (fetch bits, has a
+        # destination) per instruction word.
+        value_memo = {}
+        alu_memo = {}
+        word_memo = {}
+
+        count = 0
+        reads = 0
+        fetch = rf_read = 0
+        results = writes = rf_write = 0
+        alu_ops = alu = 0
+        accesses = dcache_data = dcache_tag = 0
+        fills = fill_bits_total = 0
+        latches = 0
+        previous_pc = None
+
         for record in records:
             count += 1
             instr = record.instr
-
-            # ------------------------------------------------------ fetch
-            hierarchy.access_instruction(record.pc)
-            fetch_bits = self.compressor.fetch_bits(instr)
-            baseline["fetch"] += 32
-            compressed["fetch"] += fetch_bits
-
-            # ---------------------------------------------------- rf read
-            read_bits = 0
-            if static is not None:
-                for index in range(len(record.read_values)):
-                    read_bits += 8 * static.read_bytes(record.pc, index)
-            else:
-                for value in record.read_values:
-                    read_bits += (
-                        scheme.significant_blocks(value) * block_bits + ext_bits
-                    )
-            baseline["rf_read"] += 32 * len(record.read_values)
-            compressed["rf_read"] += read_bits
-
-            # --------------------------------------------------- rf write
-            if record.write_value is not None and instr.destination_register() is not None:
-                baseline["rf_write"] += 32
-                if static is not None:
-                    compressed["rf_write"] += 8 * static.write_bytes(record.pc)
-                else:
-                    compressed["rf_write"] += (
-                        scheme.significant_blocks(record.write_value) * block_bits
-                        + ext_bits
-                    )
-
-            # -------------------------------------------------------- alu
-            if static is not None:
-                # A statically tagged ALU is sized once per instruction
-                # address: its widest proven source operand.
-                if record.alu_kind is not None:
-                    baseline["alu"] += 32
-                    widest = max(
-                        (
-                            static.read_bytes(record.pc, index)
-                            for index in range(len(record.read_values))
-                        ),
-                        default=1,
-                    )
-                    compressed["alu"] += 8 * max(1, widest)
-            else:
-                result = alu_activity(record, scheme)
-                if result is not None:
-                    baseline["alu"] += 32
-                    compressed["alu"] += result.bits_operated
-                elif record.alu_kind in ("mult", "div", "lui"):
-                    baseline["alu"] += 32
-                    a_blocks = scheme.significant_blocks(record.alu_a)
-                    b_blocks = scheme.significant_blocks(record.alu_b)
-                    compressed["alu"] += max(a_blocks, b_blocks) * block_bits
-
-            # ----------------------------------------------------- d-cache
-            mem_value_bits = 0
-            if record.mem_addr is not None:
-                access = hierarchy.access_data(
-                    record.mem_addr, is_store=record.mem_is_store
+            word = instr.word
+            static = word_memo.get(word)
+            if static is None:
+                static = (
+                    compressor.fetch_bits(instr),
+                    instr.destination_register() is not None,
                 )
-                access_bits = 8 * record.mem_size
-                if static is not None:
-                    # Loads deliver the memory value to the destination
-                    # register (static bound: the write tag); stores
-                    # carry a source register already covered by the
-                    # read tags.
-                    if record.mem_is_store:
-                        value_bytes = max(
-                            (
-                                static.read_bytes(record.pc, index)
-                                for index in range(len(record.read_values))
-                            ),
-                            default=4,
-                        )
+                word_memo[word] = static
+            fetch_bits, has_dest = static
+            fetch += fetch_bits
+
+            read_values = record.read_values
+            read_bits = 0
+            for value in read_values:
+                bits = value_memo.get(value)
+                if bits is None:
+                    bits = sig_blocks(value) * block_bits
+                    value_memo[value] = bits
+                read_bits += bits + ext_bits
+            reads += len(read_values)
+            rf_read += read_bits
+
+            write_value = record.write_value
+            if write_value is None:
+                result_bits = 0
+            else:
+                result_bits = value_memo.get(write_value)
+                if result_bits is None:
+                    result_bits = sig_blocks(write_value) * block_bits
+                    value_memo[write_value] = result_bits
+                result_bits += ext_bits
+                results += 1
+                if has_dest:
+                    writes += 1
+                    rf_write += result_bits
+
+            alu_kind = record.alu_kind
+            if alu_kind is not None:
+                alu_key = (alu_kind, record.alu_a, record.alu_b)
+                bits = alu_memo.get(alu_key)
+                if bits is None:
+                    result = alu_activity(record, scheme)
+                    if result is not None:
+                        bits = result.bits_operated
+                    elif alu_kind in ("mult", "div", "lui"):
+                        bits = max(
+                            sig_blocks(record.alu_a), sig_blocks(record.alu_b)
+                        ) * block_bits
                     else:
-                        value_bytes = static.write_bytes(record.pc)
-                    value_bits = min(8 * value_bytes, access_bits)
-                else:
-                    value_blocks = scheme.significant_blocks(record.mem_value)
-                    value_bits = (
-                        min(value_blocks * block_bits, access_bits) + ext_bits
-                    )
-                baseline["dcache_data"] += 32  # word-wide data array access
-                compressed["dcache_data"] += value_bits
-                mem_value_bits = value_bits
-                data_bits_accessed += value_bits
-                data_words_accessed += 1
+                        bits = -1
+                    alu_memo[alu_key] = bits
+                if bits >= 0:
+                    alu_ops += 1
+                    alu += bits
+
+            mem_addr = record.mem_addr
+            if mem_addr is None:
+                mem_value_bits = 0
+            else:
+                accesses += 1
+                mem_value = record.mem_value
+                bits = value_memo.get(mem_value)
+                if bits is None:
+                    bits = sig_blocks(mem_value) * block_bits
+                    value_memo[mem_value] = bits
+                access_bits = 8 * record.mem_size
+                mem_value_bits = (
+                    bits if bits < access_bits else access_bits
+                ) + ext_bits
+                dcache_data += mem_value_bits
                 # Tag compare: insignificant tag bytes are replaced by an
                 # extension-bit comparison, but the physical array never
                 # exceeds the baseline tag width — savings are negligible
                 # for realistic (high) addresses, as the paper reports.
-                # The static analysis does not bound addresses at all, so
-                # under static tags the compare stays at baseline width.
-                baseline["dcache_tag"] += tag_bits
-                if static is not None:
-                    compressed["dcache_tag"] += tag_bits
-                else:
-                    tag_value = record.mem_addr >> (32 - tag_bits)
-                    tag_stored = (
-                        scheme.significant_blocks(tag_value) * block_bits
-                        + ext_bits
-                    )
-                    compressed["dcache_tag"] += min(tag_bits, tag_stored)
-                # Line fill traffic, scaled by the running compression ratio.
-                if access.l1_fill:
-                    line_bits = 8 * l1d.line_bytes
-                    baseline["dcache_data"] += line_bits
-                    if data_words_accessed:
-                        ratio = data_bits_accessed / (32.0 * data_words_accessed)
-                    else:
-                        ratio = 1.0
+                tag_value = mem_addr >> tag_shift
+                bits = value_memo.get(tag_value)
+                if bits is None:
+                    bits = sig_blocks(tag_value) * block_bits
+                    value_memo[tag_value] = bits
+                bits += ext_bits
+                dcache_tag += bits if bits < tag_bits else tag_bits
+                # Line fill traffic, scaled by the running compression
+                # ratio of the data words accessed so far, whose bits
+                # dcache_data holds (docs/ARCHITECTURE.md, "Activity
+                # accounting").
+                if not access_line(mem_addr >> line_shift, record.mem_is_store)[0]:
+                    fills += 1
+                    ratio = dcache_data / (32.0 * accesses)
                     fill_bits = int(line_bits * min(1.0, ratio))
-                    if self.ext_bits_in_memory:
-                        # Memory already stores the compressed form, so the
-                        # fill also skips regenerating the extension bits:
-                        # model a further reduction by the ext-bit share.
-                        words_per_line = l1d.line_bytes // 4
-                        fill_bits = max(
-                            fill_bits - words_per_line * ext_bits,
-                            words_per_line * (block_bits + ext_bits),
-                        )
-                    compressed["dcache_data"] += fill_bits
+                    if ext_bits_in_memory:
+                        # Memory already stores the compressed form, so
+                        # the fill also skips regenerating the extension
+                        # bits: a further reduction by the ext-bit share.
+                        fill_bits = max(fill_bits - fill_ext_bits, fill_floor)
+                    fill_bits_total += fill_bits
 
-            # --------------------------------------------------------- pc
-            baseline["pc"] += 32
-            if previous_pc is not None and record.pc != previous_pc + 4:
-                pc_model.redirect(record.pc)
+            pc = record.pc
+            if previous_pc is not None and pc != previous_pc + 4:
+                redirect(pc)
             else:
-                pc_model.increment()
-            previous_pc = record.pc
+                increment()
+            previous_pc = pc
 
-            # ---------------------------------------------------- latches
-            result_bits = 0
-            if record.write_value is not None:
-                if static is not None:
-                    result_bits = 8 * static.write_bytes(record.pc)
-                else:
-                    result_bits = (
-                        scheme.significant_blocks(record.write_value) * block_bits
-                        + ext_bits
-                    )
-            latch_compressed = fetch_bits + read_bits + result_bits + mem_value_bits
-            latch_baseline = 32 + 32 * len(record.read_values)
-            if record.write_value is not None:
-                latch_baseline += 32
-            if record.mem_addr is not None:
-                latch_baseline += 32
-            baseline["latches"] += latch_baseline
-            compressed["latches"] += latch_compressed
+            latches += fetch_bits + read_bits + result_bits + mem_value_bits
 
-        compressed["pc"] = pc_model.bits_operated
+        baseline = {
+            "fetch": 32 * count,
+            "rf_read": 32 * reads,
+            "rf_write": 32 * writes,
+            "alu": 32 * alu_ops,
+            "dcache_data": 32 * accesses + line_bits * fills,
+            "dcache_tag": tag_bits * accesses,
+            "pc": 32 * count,
+            # The instruction, each operand, the result and the
+            # memory value each cross the latches at full width.
+            "latches": 32 * (count + reads + results + accesses),
+        }
+        compressed = {
+            "fetch": fetch,
+            "rf_read": rf_read,
+            "rf_write": rf_write,
+            "alu": alu,
+            "dcache_data": dcache_data + fill_bits_total,
+            "dcache_tag": dcache_tag,
+            "pc": pc_model.bits_operated,
+            "latches": latches,
+        }
         return ActivityReport(name, baseline, compressed, count)

@@ -24,9 +24,8 @@ recurrence:
   operand has passed through the comparator lanes).
 
 Cache and TLB stalls come from
-:class:`~repro.sim.hierarchy_model.MemoHierarchy`, a memoized
-reimplementation of :class:`~repro.sim.hierarchy.MemoryHierarchy`, with
-the paper's Section 3 parameters.
+:class:`~repro.sim.hierarchy_model.MemoHierarchy`, the memoized
+cache/TLB model, with the paper's Section 3 parameters.
 """
 
 from repro.sim.hierarchy_model import MemoHierarchy

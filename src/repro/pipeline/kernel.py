@@ -122,16 +122,18 @@ class TabularKernel:
     def run(self, records, organization, hierarchy, predictor=None):
         """``simulate(expand(records, organization), ...)``.
 
-        Both halves run under ``compute``-category spans, so a trace
-        shows expansion and timing-recurrence cost separately per
-        organization.
+        Both halves run under ``compute``-category spans that note the
+        record count, so a trace shows expansion and timing-recurrence
+        cost (and records/s) separately per organization.
         """
         with tracing.span(
             "kernel.expand", "compute", organization=organization.name,
-        ):
+        ) as handle:
             expanded = self.expand(records, organization)
+            handle.note(records=expanded.count)
         with tracing.span(
             "kernel.simulate", "compute", organization=organization.name,
+            records=expanded.count,
         ):
             return self.simulate(expanded, hierarchy, predictor)
 

@@ -1,22 +1,88 @@
-"""The paper's memory hierarchy (Section 3) with latency accounting.
+"""The paper's memory hierarchy configuration (Section 3).
 
 * L1: split 8KB direct-mapped I and D caches, 32-byte lines, 1-cycle hit.
 * L2: unified 64KB 4-way, 32-byte lines, 6-cycle hit, 30-cycle miss.
-* TLBs: 16-entry 4-way I, 32-entry 4-way D, 1-cycle hit, 30-cycle miss.
+* TLBs: 16-entry 4-way I, 32-entry 4-way D over 4KB pages, 1-cycle hit,
+  30-cycle miss.
 
-The hierarchy returns *stall* cycles beyond the 1-cycle pipelined access
-that the IF/MEM stage already accounts for.
-
-:class:`MemoryHierarchy` serves two roles.  The activity model walks it
-through the per-access :class:`AccessResult` path.  Through the narrow
-timing protocol (:meth:`ifetch_stall` / :meth:`data_stall` /
-:meth:`classify_block`) it is the test oracle for
-:class:`~repro.sim.hierarchy_model.MemoHierarchy`, the memoized
-reimplementation the pipeline kernel consults.
+Caches are LRU, write-back and write-allocate (SimpleScalar's default);
+latencies are stall cycles beyond the 1-cycle pipelined access the
+IF/MEM stage already accounts for.  This module holds only these
+parameters; the model that applies them is
+:class:`~repro.sim.hierarchy_model.MemoHierarchy`, held to the test
+oracle in ``tests/oracles/reference_hierarchy.py``.
 """
 
-from repro.sim.cache import Cache, CacheConfig
-from repro.sim.tlb import TLB
+#: log2 of the page size the TLBs translate (4KB pages).
+PAGE_BITS = 12
+
+
+class CacheConfig:
+    """Geometry and identification of one cache level.
+
+    Fields are validated eagerly: zero or negative sizes (which the
+    arithmetic checks below would silently accept — ``0 % n == 0`` and
+    ``0 & -1 == 0``) raise ``ValueError`` naming the offending field
+    here rather than dividing by zero inside an access.
+    """
+
+    #: The accepted constructor keywords, in declaration order.
+    _FIELDS = ("name", "size_bytes", "assoc", "line_bytes")
+
+    def __init__(self, name, size_bytes, assoc, line_bytes):
+        for field, value in (
+            ("size_bytes", size_bytes),
+            ("assoc", assoc),
+            ("line_bytes", line_bytes),
+        ):
+            if (
+                not isinstance(value, int)
+                or isinstance(value, bool)
+                or value <= 0
+            ):
+                raise ValueError(
+                    "cache config field %r must be a positive integer, got %r"
+                    % (field, value)
+                )
+        if size_bytes % (assoc * line_bytes):
+            raise ValueError("cache size must be a multiple of assoc * line size")
+        self.name = name
+        self.size_bytes = size_bytes
+        self.assoc = assoc
+        self.line_bytes = line_bytes
+        self.num_sets = size_bytes // (assoc * line_bytes)
+        if self.num_sets & (self.num_sets - 1):
+            raise ValueError("number of sets must be a power of two")
+        if line_bytes & (line_bytes - 1):
+            raise ValueError("line size must be a power of two")
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Build a config from a plain dict, failing closed.
+
+        Unknown keys raise ``ValueError`` naming the offending key, so a
+        typo never silently leaves a field at some other value.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                "cache config payload must be a mapping, got %s"
+                % type(payload).__name__
+            )
+        for key in payload:
+            if key not in cls._FIELDS:
+                raise ValueError("unknown cache config key %r" % (key,))
+        missing = [field for field in cls._FIELDS if field not in payload]
+        if missing:
+            raise ValueError("cache config key %r is missing" % (missing[0],))
+        return cls(**payload)
+
+    def __repr__(self):
+        return "CacheConfig(%s: %dB, %d-way, %dB lines)" % (
+            self.name,
+            self.size_bytes,
+            self.assoc,
+            self.line_bytes,
+        )
 
 
 def _require_count(field, value, minimum):
@@ -128,110 +194,3 @@ class HierarchyConfig:
 
 #: Exactly the configuration of the paper's experimental framework.
 PAPER_HIERARCHY = HierarchyConfig()
-
-
-class AccessResult:
-    """Outcome of one hierarchy access."""
-
-    __slots__ = ("stall_cycles", "l1_hit", "l2_hit", "tlb_hit", "l1_fill", "writeback")
-
-    def __init__(self, stall_cycles, l1_hit, l2_hit, tlb_hit, l1_fill, writeback):
-        self.stall_cycles = stall_cycles
-        self.l1_hit = l1_hit
-        self.l2_hit = l2_hit
-        self.tlb_hit = tlb_hit
-        self.l1_fill = l1_fill
-        self.writeback = writeback
-
-    def __repr__(self):
-        return "AccessResult(stall=%d, l1=%s)" % (self.stall_cycles, self.l1_hit)
-
-
-class MemoryHierarchy:
-    """Split L1s over a unified L2, with I/D TLBs."""
-
-    def __init__(self, config=None):
-        self.config = config or PAPER_HIERARCHY
-        self.l1i = Cache(self.config.l1i)
-        self.l1d = Cache(self.config.l1d)
-        self.l2 = Cache(self.config.l2)
-        self.itlb = TLB("ITLB", self.config.itlb_entries, self.config.itlb_assoc)
-        self.dtlb = TLB("DTLB", self.config.dtlb_entries, self.config.dtlb_assoc)
-
-    def access_instruction(self, address):
-        """Fetch access; returns an :class:`AccessResult`."""
-        return self._access(address, self.l1i, self.itlb, is_store=False)
-
-    def access_data(self, address, is_store=False):
-        """Data access; returns an :class:`AccessResult`."""
-        return self._access(address, self.l1d, self.dtlb, is_store=is_store)
-
-    # ------------------------------------------------- narrow timing protocol
-    #
-    # The same three methods MemoHierarchy implements (see
-    # repro.sim.hierarchy_model), so the differential suites can run the
-    # kernels over either; they return bare stall-cycle integers, leaving
-    # the AccessResult object path to consumers that inspect
-    # hit/fill/writeback flags per access.
-
-    def ifetch_stall(self, address):
-        """Stall cycles of one instruction fetch at ``address``."""
-        return self._access(
-            address, self.l1i, self.itlb, is_store=False
-        ).stall_cycles
-
-    def data_stall(self, address, is_store=False):
-        """Stall cycles of one data access at ``address``."""
-        return self._access(
-            address, self.l1d, self.dtlb, is_store=is_store
-        ).stall_cycles
-
-    def classify_block(self, records):
-        """Batch API: ``[(ifetch_stall, data_stall), ...]`` per record.
-
-        Records without a memory access report a data stall of 0 (and
-        touch no data-side structure).  State evolves exactly as the
-        equivalent per-record calls would evolve it.
-        """
-        ifetch_stall = self.ifetch_stall
-        data_stall = self.data_stall
-        latencies = []
-        append = latencies.append
-        for record in records:
-            istall = ifetch_stall(record.pc)
-            mem_addr = record.mem_addr
-            append((
-                istall,
-                data_stall(mem_addr, record.mem_is_store)
-                if mem_addr is not None
-                else 0,
-            ))
-        return latencies
-
-    def _access(self, address, l1, tlb, is_store):
-        stall = 0
-        tlb_hit = tlb.access(address)
-        if not tlb_hit:
-            stall += self.config.tlb_miss_cycles
-        l1_hit, victim_address = l1.access(address, is_write=is_store)
-        l2_hit = True
-        l1_fill = not l1_hit
-        writeback = victim_address is not None
-        if not l1_hit:
-            l2_hit, _l2_victim = self.l2.access(address, is_write=False)
-            stall += self.config.l2_hit_cycles if l2_hit else self.config.memory_cycles
-            if writeback:
-                # Dirty victim written back into L2 (no extra stall modelled;
-                # writeback buffers hide it, but the L2 sees the traffic).
-                self.l2.access(victim_address, is_write=True)
-        return AccessResult(stall, l1_hit, l2_hit, tlb_hit, l1_fill, writeback)
-
-    def stats(self):
-        """Per-structure statistics dictionaries."""
-        return {
-            "l1i": self.l1i.stats(),
-            "l1d": self.l1d.stats(),
-            "l2": self.l2.stats(),
-            "itlb": self.itlb.stats(),
-            "dtlb": self.dtlb.stats(),
-        }

@@ -1,11 +1,11 @@
-"""The memoized memory hierarchy the pipeline kernel consults.
+"""The memoized memory hierarchy: the one production cache/TLB model.
 
 Each dynamic instruction performs one instruction-side access (ITLB +
 L1I + possibly L2), and loads/stores add a data-side access, so the
 hierarchy is a per-record cost in every pipeline simulation.
-:class:`MemoHierarchy` reimplements the geometry and LRU / write-back /
-write-allocate semantics of :class:`~repro.sim.hierarchy.MemoryHierarchy`
-for that hot loop:
+:class:`MemoHierarchy` implements the paper's geometry
+(:class:`~repro.sim.hierarchy.HierarchyConfig`) with LRU / write-back /
+write-allocate semantics, shaped for that hot loop:
 
 * **per-static-instruction access classification**: the ITLB set/tag
   and L2 line of each fetch are pure functions of the PC, so they are
@@ -33,24 +33,29 @@ The kernel consumes it through a narrow timing protocol:
 * ``stats() -> dict`` — the per-structure counter dictionaries that
   ride into :class:`~repro.pipeline.base.PipelineResult`.
 
-:class:`~repro.sim.hierarchy.MemoryHierarchy` implements the same
-protocol and is the test oracle: the differential suites in
-``tests/test_hierarchies.py`` and ``tests/test_kernels.py`` hold every
-counter and every :class:`~repro.pipeline.base.PipelineResult` to it,
-field for field.
+The activity model uses one structure directly: :func:`memo_cache`
+builds the L1D it replays a trace's data accesses through to count line
+fills (the L1s are split, so an L1D miss depends only on the data
+accesses).
+
+The reference hierarchy in ``tests/oracles/reference_hierarchy.py``
+implements the same protocol and is the test oracle: the differential
+suites in ``tests/test_hierarchies.py``, ``tests/test_kernels.py`` and
+``tests/test_activity_model.py`` hold every counter, every
+:class:`~repro.pipeline.base.PipelineResult` and every activity report
+to it, field for field.
 """
 
 from repro.obs import tracing
-from repro.sim.hierarchy import PAPER_HIERARCHY
-from repro.sim.tlb import PAGE_BITS
+from repro.sim.hierarchy import PAGE_BITS, PAPER_HIERARCHY
 
 class _MemoTLB:
     """Tag-tuple TLB with a shared ``(state, tag)`` transition memo.
 
     Set contents are immutable tuples of page tags, MRU first — exactly
-    the ordering of the reference :class:`~repro.sim.tlb.TLB`'s per-set
-    lists.  States carry tags, not pages, so transitions are identical
-    across sets and one memo dict serves all of them.  An MRU probe
+    the ordering of the reference ``TLB``'s per-set lists.  States
+    carry tags, not pages, so transitions are identical across sets and
+    one memo dict serves all of them.  An MRU probe
     short-circuits the memo for the common repeated-page case.
     """
 
@@ -243,9 +248,9 @@ class _MemoCacheSA:
         return False, (victim_tag << self.set_bits) | set_index
 
     def _transition(self, state, tag, is_write):
-        # Mirrors Cache.access exactly: hit promotes to MRU (or-ing the
-        # dirty bit); a miss on a full set evicts the LRU way, surfacing
-        # its tag only when dirty (write-back).
+        # Mirrors the reference Cache.access exactly: hit promotes to
+        # MRU (or-ing the dirty bit); a miss on a full set evicts the
+        # LRU way, surfacing its tag only when dirty (write-back).
         for position, way in enumerate(state):
             if way >> 1 == tag:
                 promoted = way | 1 if is_write else way
@@ -285,8 +290,12 @@ class _MemoCacheSA:
         }
 
 
-def _memo_cache(config):
-    """The memoized cache structure matching one CacheConfig's geometry."""
+def memo_cache(config):
+    """The memoized cache structure matching one CacheConfig's geometry.
+
+    Its ``access_line(line, is_write)`` returns ``(hit, victim_line)``
+    for one access to line number ``line`` (``address >> line_shift``).
+    """
     if config.assoc == 1:
         return _MemoCacheDM(config)
     return _MemoCacheSA(config)
@@ -319,9 +328,9 @@ class MemoHierarchy:
     def __init__(self, config=None):
         config = config or PAPER_HIERARCHY
         self.config = config
-        self._l1i = _memo_cache(config.l1i)
-        self._l1d = _memo_cache(config.l1d)
-        self._l2 = _memo_cache(config.l2)
+        self._l1i = memo_cache(config.l1i)
+        self._l1d = memo_cache(config.l1d)
+        self._l2 = memo_cache(config.l2)
         self._itlb = _MemoTLB(
             "ITLB", config.itlb_entries, config.itlb_assoc, PAGE_BITS
         )

@@ -193,7 +193,8 @@ class SimUnit(
 class ActivityUnit(
     _Unit, namedtuple("ActivityUnit", ("workload", "scale", "config"))
 ):
-    """One activity-model pass; ``config`` is ActivityModel.config_key()."""
+    """One activity-model pass under ``config``, the model's
+    ``config_key()``: ``(scheme_name, ext_bits_in_memory)``."""
 
     __slots__ = ()
     kind = "activity"
@@ -204,12 +205,8 @@ class ActivityUnit(
 
     def slug(self):
         """Filename-safe unit name."""
-        scheme_name, pc_block_bits, _latch_boundaries, ext_in_memory = self.config
-        return "activity-%s-pc%d%s" % (
-            scheme_name,
-            pc_block_bits,
-            "-mem" if ext_in_memory else "",
-        )
+        scheme_name, ext_in_memory = self.config
+        return "activity-%s%s" % (scheme_name, "-mem" if ext_in_memory else "")
 
     def compute(self, workload, traces):
         """Run the configured activity model over the trace."""
@@ -333,20 +330,13 @@ def activity_config(scheme=BYTE_SCHEME, ext_bits_in_memory=False):
     Built through a throwaway model so declarative unit requests and the
     runtime model can never disagree about the key.
     """
-    return ActivityModel(
-        scheme=scheme, ext_bits_in_memory=ext_bits_in_memory
-    ).config_key()
+    return ActivityModel(scheme, ext_bits_in_memory).config_key()
 
 
 def model_from_config(config):
     """Reconstruct the ActivityModel an :class:`ActivityUnit` describes."""
-    scheme_name, pc_block_bits, latch_boundaries, ext_bits_in_memory = config
-    return ActivityModel(
-        scheme=get_scheme(scheme_name),
-        pc_block_bits=pc_block_bits,
-        latch_boundaries=latch_boundaries,
-        ext_bits_in_memory=ext_bits_in_memory,
-    )
+    scheme_name, ext_bits_in_memory = config
+    return ActivityModel(get_scheme(scheme_name), ext_bits_in_memory)
 
 
 def broker_for(store):
@@ -453,17 +443,8 @@ class ResultBroker:
         return self._request([unit], workload)[0]
 
     def activity_report(self, model, workload, scale=1):
-        """Memoized ``model.process(trace)``.
-
-        Models whose configuration the declarative key cannot express
-        (custom compressor or hierarchy) are computed directly, without
-        memoization — correctness over reuse.
-        """
-        config = model.config_key()
-        if config is None:
-            records = self.traces.trace(workload, scale=scale)
-            return model.process(records, name=workload.name)
-        unit = ActivityUnit(workload.name, scale, config)
+        """Memoized ``model.process(trace)``."""
+        unit = ActivityUnit(workload.name, scale, model.config_key())
         return self._request([unit], workload)[0]
 
     def analysis_summary(self, workload, scale=1):

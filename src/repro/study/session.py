@@ -54,7 +54,8 @@ class TraceStore:
     The store keeps its own cache keyed by ``(workload.name, scale)`` and
     counts every miss in :attr:`materializations`, so a session can
     assert that no trace was produced twice no matter how many
-    experiments consumed it.
+    experiments consumed it.  A session calls :meth:`release` to drop
+    the record lists when a batch of experiments finishes.
 
     With a persistent ``cache`` (a
     :class:`~repro.study.trace_cache.TraceCache`), lookups fall through
@@ -184,6 +185,14 @@ class TraceStore:
     def keys(self):
         """The ``(name, scale)`` pairs currently held."""
         return list(self._traces)
+
+    def release(self):
+        """Drop the in-memory record lists, keeping every counter.
+
+        A later request re-resolves its trace (memory → disk →
+        materialize) and is counted like any other.
+        """
+        self._traces.clear()
 
     def clear(self):
         """Drop all cached in-memory traces and counters.
@@ -397,6 +406,10 @@ class ExperimentSession:
             for name in names:
                 yield self.run_one(name)
         self.phases.observe("experiments", phase.seconds)
+        # Every result the batch needed is memoized by now, and the
+        # record lists are the session's largest objects: a finished
+        # batch does not keep them alive for as long as the session is.
+        self.store.release()
 
     def _validate(self, names):
         """Resolve the id list, failing before any trace materializes."""

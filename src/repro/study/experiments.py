@@ -1,7 +1,7 @@
 """Experiment registry: declarative specs, one per paper table/figure.
 
-Each experiment is an :class:`ExperimentSpec` — id, description, trace
-and *unit* requirements, and a runner ``f(workloads, scale, store)``.
+Each experiment is an :class:`ExperimentSpec` — id, description, *unit*
+requirements, and a runner ``f(workloads, scale, store)``.
 The specs are what :class:`repro.study.session.ExperimentSession`
 schedules: the session executes the deduped analysis units (pipeline
 simulations, activity passes, trace walks, static analyses) through the
@@ -81,9 +81,7 @@ class ExperimentSpec:
 
     ``runner(workloads=None, scale=1, store=None)`` returns the report
     text.  ``alias_of`` marks alternate names for an existing experiment
-    so schedulers can skip them; ``required_traces`` tells the session
-    which ``(workload, scale)`` traces to materialize up front;
-    ``units`` (a builder ``f(workloads, scale) -> [unit, ...]``) names
+    so schedulers can skip them; ``units`` (a builder ``f(workloads, scale) -> [unit, ...]``) names
     the fine-grained simulation/analysis units the runner will request,
     so the session can dedupe and shard them before any runner starts.
     """
@@ -96,10 +94,6 @@ class ExperimentSpec:
         self.runner = runner
         self.alias_of = alias_of
         self.units = units
-
-    def required_traces(self, workloads=None, scale=1):
-        """The ``(workload, scale)`` pairs this experiment walks."""
-        return [(workload, scale) for workload in workloads or mediabench_suite()]
 
     def required_units(self, workloads=None, scale=1):
         """The analysis units this experiment's runner will request."""
@@ -604,9 +598,21 @@ def canonical_experiment_ids():
 
 
 def run_experiment(name, workloads=None, scale=1, store=None):
-    """Run one experiment by id; returns its report text."""
+    """Run one experiment by id; returns its report text.
+
+    Outside a session the spec's declared units first go to the broker
+    as one batch, so each trace is resolved once and the runner's own
+    requests are memo hits.
+    """
     if name not in EXPERIMENTS:
         raise KeyError(
             "unknown experiment %r; available: %s" % (name, ", ".join(sorted(EXPERIMENTS)))
         )
-    return EXPERIMENTS[name].run(workloads=workloads, scale=scale, store=store)
+    spec = EXPERIMENTS[name]
+    workloads = list(workloads or mediabench_suite())
+    broker = broker_for(store)
+    broker.run_units(
+        spec.required_units(workloads, scale),
+        {workload.name: workload for workload in workloads},
+    )
+    return spec.run(workloads=workloads, scale=scale, store=broker.traces)

@@ -15,9 +15,9 @@ simulation, activity-model pass, trace walk or static analysis over one
   the assembled program, which needs no trace at all.
 
 Every unit class carries the same small protocol (see :class:`_Unit`):
-whether it needs a trace, how it computes, how its stored payload
-encodes and decodes, and which hit/miss counter family counts it.  The
-broker dispatches through those methods, never on the unit's type.
+how it computes, how its stored payload encodes and decodes, and which
+hit/miss counter family counts it.  The broker dispatches through those
+methods, never on the unit's type.
 
 :class:`ResultBroker` executes units with a three-level fallthrough —
 in-memory memo → persistent :class:`~repro.study.result_store.ResultStore`
@@ -26,17 +26,19 @@ appears in every figure; ``byte_serial`` in fig4, fig6 and the
 bottleneck analysis) runs **at most once per session**, and not at all
 when a warm result store holds it.  It is the only way a study gets a
 result: :func:`broker_for` hands a study called outside a session an
-in-memory broker.  :meth:`ResultBroker.run_units` fans pending units
-out across supervised forked workers, sharding *within* an experiment;
-because every unit is deterministic, study reports reassemble
-byte-identically regardless of scheduling.
+in-memory broker.
 
-Walk units are fused: all pending walkers for the same ``(workload,
-scale)`` execute in **one** streaming decode pass
-(:meth:`~repro.study.session.TraceStore.stream`), so a cold ``repro
-all`` decodes each trace at most once for every walk study combined —
-and, when the trace is already in the persistent cache, never builds
-the full record list at all.
+The scheduling unit is one *trace*: every pending unit over one
+``(workload, scale)`` forms one :class:`TraceTask`, which gets its trace
+at most once, computes every unit — simulations and activity passes on
+the record list, then all walkers fed together from a single
+:meth:`~repro.study.session.TraceStore.stream` pass — and releases the
+trace before the next task starts.  Serial runs, ``--jobs N`` workers
+and the supervisor's quarantine path all execute the same task, so a
+batch holds at most one trace per process, and a fully warm run touches
+no trace at all — zero decodes, zero walks.  Because every unit is
+deterministic, study reports reassemble byte-identically regardless of
+scheduling.
 """
 
 import multiprocessing
@@ -95,10 +97,6 @@ class _Unit:
     """
 
     __slots__ = ()
-
-    #: Whether :meth:`compute` reads the trace; the broker warms the
-    #: traces of pending units that do before it forks any worker.
-    needs_trace = True
 
     #: Hit/miss counter family: ``"sim"`` counts into ``sim_hits`` /
     #: ``sim_misses``, ``"walk"`` into ``walk_hits`` / ``walk_misses``.
@@ -229,8 +227,8 @@ class WalkUnit(
     rides into the result-store descriptor, so payloads from different
     walkers (or differently parameterized ones) never mix; the stored
     payload itself carries a version + spec envelope as a second check.
-    Walk units never compute alone: the broker feeds every pending walk
-    unit of one trace from a single streaming pass.
+    Walk units never compute alone: a :class:`TraceTask` feeds every
+    pending walk unit of its trace from a single streaming pass.
     """
 
     __slots__ = ()
@@ -267,7 +265,6 @@ class _StaticUnit(_Unit):
     """
 
     __slots__ = ()
-    needs_trace = False
 
     def descriptor(self):
         """JSON-able identity for the persistent result store."""
@@ -322,6 +319,20 @@ class TagTableUnit(
     def unwrap(self, payload):
         """The tag table inside a stored envelope."""
         return unwrap_tag_payload(payload)
+
+
+class TraceTask(namedtuple("TraceTask", ("workload", "scale", "units"))):
+    """One scheduling task: every pending unit over one ``(workload, scale)``.
+
+    The broker's only task shape — serial, forked and quarantined
+    execution all compute it through ``ResultBroker._compute``.
+    """
+
+    __slots__ = ()
+
+    def label(self):
+        """Counter, span and fault-key label: ``workload@scale``."""
+        return "%s@%d" % (self.workload, self.scale)
 
 
 def activity_config(scheme=BYTE_SCHEME, ext_bits_in_memory=False):
@@ -457,20 +468,7 @@ class ResultBroker:
 
     def walk_payload(self, workload, spec, scale=1):
         """Memoized payload of one trace walker over one workload."""
-        return self.walk_payloads(workload, (spec,), scale=scale)[0]
-
-    def walk_payloads(self, workload, specs, scale=1):
-        """Memoized payloads for several walkers, fused when pending.
-
-        Every spec's payload falls through memory → disk → compute like
-        any other unit, but all specs that do reach compute share a
-        single streaming pass over the trace — one decode no matter how
-        many walkers a study (or several studies, via :meth:`run_units`)
-        request.  Returns payload data dicts in spec order.
-        """
-        return self._request(
-            [WalkUnit(workload.name, scale, spec) for spec in specs], workload
-        )
+        return self._request([WalkUnit(workload.name, scale, spec)], workload)[0]
 
     # ------------------------------------------------------------ scheduling
 
@@ -482,16 +480,10 @@ class ResultBroker:
         experiments, or already memoized — count as :attr:`sim_hits`
         (:attr:`walk_hits` for walk units), so the dedupe is visible in
         the JSON report.  Disk-warm units load in the parent; only
-        genuinely pending units reach the workers.  Results land in the
-        in-memory memo, so the experiment runners that follow recompute
-        nothing.
-
-        Pending walk units are fused: one streaming decode pass per
-        ``(workload, scale)`` feeds every walker for that trace, however
-        many experiments requested them.  Traces that pending units need
-        as full record lists are materialized here in the parent, exactly
-        once, so forked workers inherit them; a fully warm run therefore
-        touches no trace at all — zero decodes, zero walks.
+        genuinely pending units reach a :class:`TraceTask`, one per
+        ``(workload, scale)`` in first-request order, and only tasks
+        reach the workers.  Results land in the in-memory memo, so the
+        experiment runners that follow recompute nothing.
         """
         with tracing.span(
             "broker.run_units", "broker", requested=len(units), jobs=jobs
@@ -512,8 +504,7 @@ class ResultBroker:
 
     def _resolve(self, units, workloads_by_name, jobs):
         """Memoize every unit in ``units``; returns how many it computed."""
-        pending = []
-        walk_groups = {}
+        tasks = {}
         seen = set()
         for unit in units:
             if unit in self._memo or unit in seen:
@@ -536,95 +527,75 @@ class ResultBroker:
                 if loaded is None:
                     probe.cancel()  # re-observed as a compute-path span
             if loaded is None:
-                if unit.family == "walk":
-                    walk_groups.setdefault(
-                        (unit.workload, unit.scale), []
-                    ).append(unit)
-                else:
-                    pending.append(unit)
-        # Warm, in this process, every trace the pending computes need as
-        # a full list — forked workers then inherit the decoded records
-        # instead of each decoding (or worse, simulating) their own copy.
-        # Walk groups stream from the persistent cache when they can; a
-        # group without a streamable entry falls back to the same warm
-        # in-memory list.
-        warmed = set()
-        for unit in pending:
-            key = (unit.workload, unit.scale)
-            if unit.needs_trace and key not in warmed:
-                warmed.add(key)
-                self.traces.trace(workloads_by_name[key[0]], scale=key[1])
-        for key in walk_groups:
-            if key not in warmed and not self.traces.streamable(
-                workloads_by_name[key[0]], scale=key[1]
-            ):
-                warmed.add(key)
-                self.traces.trace(workloads_by_name[key[0]], scale=key[1])
-        tasks = list(pending)
-        tasks.extend(walk_groups.values())
+                key = (unit.workload, unit.scale)
+                if key not in tasks:
+                    tasks[key] = TraceTask(unit.workload, unit.scale, [])
+                tasks[key].units.append(unit)
+        tasks = list(tasks.values())
         if jobs > 1 and len(tasks) > 1:
             timed = self._compute_parallel(tasks, jobs)
         else:
             timed = [self._compute(task) for task in tasks]
         computed = 0
-        for task, (result, seconds) in zip(tasks, timed):
-            if not isinstance(task, list):
-                task, result = [task], [result]
-            for unit, value in zip(task, result):
-                self._install(
-                    unit, workloads_by_name[unit.workload], value, seconds
-                )
-            computed += len(task)
+        for task, results in zip(tasks, timed):
+            workload = workloads_by_name[task.workload]
+            for unit, (result, seconds) in zip(task.units, results):
+                self._install(unit, workload, result, seconds)
+            computed += len(task.units)
         return computed
 
     def _compute(self, task):
-        """Compute one scheduling task as ``(result, sim seconds or None)``.
+        """Compute one :class:`TraceTask`, then release its trace.
 
-        A task is one unit, or a fused walk group — a list of walk units
-        over one trace, whose result is their payloads in unit order.
-        Counter-free, so forked workers run exactly this.
+        Returns ``[(result, sim seconds or None), ...]`` in unit order.
+        The non-walk units compute first, so a task that simulates
+        resolves the record list once and its walkers iterate that list;
+        a walk-only task streams the trace instead.  Counter-free, so
+        forked workers run exactly this.
         """
-        if isinstance(task, list):
-            first = task[0]
-            with tracing.span(
-                "unit:%s" % self._task_label(task), "unit", kind="walk",
-                path="compute", units=len(task),
-            ):
-                return self._walk_group(
-                    self._workload_for(first), first.scale, task
-                ), None
+        workload = self._workloads[task.workload]
+        timed = {}
+        walks = []
         with tracing.span(
-            "unit:%s" % task.label(), "unit", kind=task.kind, path="compute",
+            "unit:%s" % task.label(), "unit", kind="trace", path="compute",
+            units=len(task.units),
         ):
-            return task.compute(self._workload_for(task), self.traces)
+            try:
+                for unit in task.units:
+                    if unit.family == "walk":
+                        walks.append(unit)
+                        continue
+                    with tracing.span(
+                        "unit:%s" % unit.label(), "unit", kind=unit.kind,
+                        path="compute",
+                    ):
+                        timed[unit] = unit.compute(workload, self.traces)
+                if walks:
+                    payloads = self._walk_group(workload, task.scale, walks)
+                    for unit, payload in zip(walks, payloads):
+                        timed[unit] = (payload, None)
+            finally:
+                self.traces.release(workload, task.scale)
+        return [timed[unit] for unit in task.units]
 
     def _shipped_compute(self, task):
-        # Runs in a forked worker.  A walk group streaming inside a
-        # worker performs real decode work, and the worker's counters
-        # and spans die with it: ship the registry delta (snapshot →
-        # diff) and the recorded events back alongside the result so
-        # the parent's report stays truthful.
+        # Runs in a forked worker.  The task resolves its own trace there
+        # (simulating, decoding or streaming it), and the worker's
+        # counters and spans die with it: ship the registry delta
+        # (snapshot → diff) and the recorded events back alongside the
+        # results so the parent's report stays truthful.
         before = self.registry.snapshot()
         tracer = tracing.current_tracer()
         mark = tracer.event_count() if tracer is not None else 0
-        result, seconds = self._compute(task)
+        timed = self._compute(task)
         events = tracer.events_since(mark) if tracer is not None else []
-        return result, seconds, self.registry.snapshot().diff(before), events
+        return timed, self.registry.snapshot().diff(before), events
 
     def _inline_compute(self, task):
         # The supervisor's quarantine / last-resort path: same payload
         # shape as _shipped_compute, but computed in the parent, where
         # counters and spans record directly (hence no delta to merge).
-        result, seconds = self._compute(task)
-        return result, seconds, None, None
-
-    @staticmethod
-    def _task_label(task):
-        """Counter/span label for a scheduling task (unit or walk group)."""
-        if isinstance(task, list):
-            first = task[0]
-            return "%s@%d/walkgroup" % (first.workload, first.scale)
-        return task.label()
+        return self._compute(task), None, None
 
     def _compute_parallel(self, tasks, jobs):
         try:
@@ -633,7 +604,7 @@ class ResultBroker:
             self.parallel_fallbacks.inc("fork-unavailable")
             print(
                 "repro: fork start method unavailable on this platform; "
-                "computing %d units serially despite --jobs %d"
+                "computing %d trace tasks serially despite --jobs %d"
                 % (len(tasks), jobs),
                 file=sys.stderr,
             )
@@ -644,28 +615,25 @@ class ResultBroker:
             inline=self._inline_compute,
             registry=self.registry,
             jobs=min(jobs, len(tasks)),
-            label_for=self._task_label,
+            label_for=TraceTask.label,
             max_retries=self.max_retries,
             unit_timeout=self.unit_timeout,
         )
         shipped = executor.run(tasks)
         tracer = tracing.current_tracer()
         timed = []
-        for result, seconds, delta, events in shipped:
+        for results, delta, events in shipped:
             if delta is not None:
                 self.registry.merge(delta)
             if events and tracer is not None:
                 tracer.extend(events)
-            timed.append((result, seconds))
+            timed.append(results)
         return timed
 
     # -------------------------------------------------------------- internal
 
     def _register(self, workload):
         self._workloads[workload.name] = workload
-
-    def _workload_for(self, unit):
-        return self._workloads[unit.workload]
 
     def _count(self, counters, unit):
         label = unit.label()
@@ -689,8 +657,9 @@ class ResultBroker:
     def _walk_group(self, workload, scale, units):
         """Execute every walker in ``units`` over one streaming pass.
 
-        The record stream prefers the persistent cache's compressed file
-        (no full-list materialization); a damaged entry surfacing
+        The record stream is the in-memory list when the task already
+        resolved one, else the persistent cache's compressed file (no
+        full-list materialization); a damaged entry surfacing
         mid-stream poisons the partially fed walkers, so they are all
         rebuilt and re-fed from a freshly materialized trace (the
         damaged cache entry was already removed by the stream's own
@@ -700,19 +669,16 @@ class ResultBroker:
             "walk.group:%s@%d" % (workload.name, scale), "compute",
             workload=workload.name, scale=scale, walkers=len(units),
             specs=[unit.slug() for unit in units],
-        ):
-            walkers = [build_walker(unit.walker) for unit in units]
+        ) as handle:
             try:
-                feeds = [walker.feed for walker in walkers]
-                for record in self.traces.stream(workload, scale=scale):
-                    for feed in feeds:
-                        feed(record)
+                walkers, records = _feed_walkers(
+                    units, self.traces.stream(workload, scale=scale)
+                )
             except TraceCodecError:
-                walkers = [build_walker(unit.walker) for unit in units]
-                feeds = [walker.feed for walker in walkers]
-                for record in self.traces.trace(workload, scale=scale):
-                    for feed in feeds:
-                        feed(record)
+                walkers, records = _feed_walkers(
+                    units, self.traces.trace(workload, scale=scale)
+                )
+            handle.note(records=records)
             return [
                 walker.traced_finish(unit.slug())
                 for walker, unit in zip(walkers, units)
@@ -738,3 +704,14 @@ class ResultBroker:
             len(self._memo),
             sum(self.sim_misses.values()) + sum(self.walk_misses.values()),
         )
+
+
+def _feed_walkers(units, records):
+    """Fresh walkers for ``units`` fed from ``records``: ``(walkers, count)``."""
+    walkers = [build_walker(unit.walker) for unit in units]
+    feeds = [walker.feed for walker in walkers]
+    count = 0
+    for count, record in enumerate(records, 1):
+        for feed in feeds:
+            feed(record)
+    return walkers, count

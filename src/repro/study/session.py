@@ -25,14 +25,16 @@ with a warm persistent :class:`~repro.study.result_store.ResultStore`
 (same ``cache_dir``) not at all.
 
 Traces are resolved lazily, by the units that actually compute: the
-scheduler warms (in the parent, pre-fork) exactly the traces its
-pending units need, walk units stream records straight from the
-compressed cache files (:meth:`TraceStore.stream`), and a fully warm
-run touches no trace at all — zero decodes, zero simulations, zero
-walks.  The experiment runners then execute one after another in
-request order: each only reads the results its spec declared, which
-the broker already memoized, so the experiment phase computes nothing
-and ``--jobs N`` output is byte-identical to a serial run.
+broker schedules one task per pending ``(workload, scale)``, which
+resolves its trace at most once — walk-only tasks stream records
+straight from the compressed cache files (:meth:`TraceStore.stream`) —
+and releases it when the task ends, so a batch holds at most one
+trace's records per process and a fully warm run touches no trace at
+all — zero decodes, zero simulations, zero walks.  The experiment
+runners then execute one after another in request order: each only
+reads the results its spec declared, which the broker already
+memoized, so the experiment phase computes nothing and ``--jobs N``
+output is byte-identical to a serial run.
 
 This module deliberately imports :mod:`repro.study.experiments` and
 :mod:`repro.study.scheduler` lazily: the scheduler imports
@@ -54,8 +56,9 @@ class TraceStore:
     The store keeps its own cache keyed by ``(workload.name, scale)`` and
     counts every miss in :attr:`materializations`, so a session can
     assert that no trace was produced twice no matter how many
-    experiments consumed it.  A session calls :meth:`release` to drop
-    the record lists when a batch of experiments finishes.
+    experiments consumed it.  The broker's per-trace task calls
+    :meth:`release` when it finishes, so a record list lives exactly as
+    long as the task that needed it.
 
     With a persistent ``cache`` (a
     :class:`~repro.study.trace_cache.TraceCache`), lookups fall through
@@ -172,12 +175,6 @@ class TraceStore:
                 return stream
         return iter(self.trace(workload, scale=scale))
 
-    def streamable(self, workload, scale=1):
-        """Whether :meth:`stream` can serve without materializing."""
-        if (workload.name, scale) in self._traces:
-            return True
-        return self.cache is not None and self.cache.has(workload, scale=scale)
-
     def times_materialized(self, name, scale=1):
         """How often the named trace was actually built (0 if never)."""
         return self.materializations.get((name, scale), 0)
@@ -186,13 +183,13 @@ class TraceStore:
         """The ``(name, scale)`` pairs currently held."""
         return list(self._traces)
 
-    def release(self):
-        """Drop the in-memory record lists, keeping every counter.
+    def release(self, workload, scale=1):
+        """Drop one in-memory record list, keeping every counter.
 
-        A later request re-resolves its trace (memory → disk →
+        A later request re-resolves the trace (memory → disk →
         materialize) and is counted like any other.
         """
-        self._traces.clear()
+        self._traces.pop((workload.name, scale), None)
 
     def clear(self):
         """Drop all cached in-memory traces and counters.
@@ -224,10 +221,10 @@ class ExperimentSession:
     """Schedules experiments over a shared :class:`TraceStore`.
 
     ``run()`` resolves the requested experiment ids against the registry,
-    executes their deduped analysis units through the broker (which
-    warms exactly the traces its pending units need — each at most once;
-    a fully warm run touches none), then runs the specs in request
-    order.  Only the unit phase forks, under ``jobs > 1``.
+    executes their deduped analysis units through the broker (one task
+    per pending trace, each resolving its trace at most once; a fully
+    warm run touches none), then runs the specs in request order.  Only
+    the unit phase forks, under ``jobs > 1``.
     """
 
     def __init__(self, workloads=None, scale=1, store=None, cache_dir=None,
@@ -289,27 +286,14 @@ class ExperimentSession:
 
         return canonical_experiment_ids()
 
-    def required_traces(self, names):
-        """The ``(workload, scale)`` pairs the named experiments consume."""
-        from repro.study.experiments import EXPERIMENTS
+    def prepare(self):
+        """Materialize every session workload's trace, exactly once.
 
-        required = []
-        seen = set()
-        for name in names:
-            for workload, scale in EXPERIMENTS[name].required_traces(
-                self.workloads, self.scale
-            ):
-                key = (workload.name, scale)
-                if key not in seen:
-                    seen.add(key)
-                    required.append((workload, scale))
-        return required
-
-    def prepare(self, names=None):
-        """Materialize every trace the named experiments need, exactly once."""
-        names = list(names) if names is not None else self.experiment_ids()
-        for workload, scale in self.required_traces(names):
-            self.store.trace(workload, scale=scale)
+        Optional: a run resolves the traces its pending units need by
+        itself.  Preparing only fills the trace cache ahead of time.
+        """
+        for workload in self.workloads:
+            self.store.trace(workload, scale=self.scale)
         return self.store
 
     def required_units(self, names):
@@ -335,8 +319,8 @@ class ExperimentSession:
         """Execute every unit the named experiments need, at most once.
 
         With ``jobs > 1`` pending units fan out across supervised forked
-        workers — sharding *within* an experiment (per workload and
-        organization), not just across experiments.  The raw
+        workers, one task per ``(workload, scale)`` trace, sharding
+        across the traces of every requested experiment.  The raw
         (pre-dedupe) request list goes to the broker so cross-experiment
         sharing registers as ``sim_hits``.
         Returns the number of units actually computed (0 on a fully
@@ -357,14 +341,14 @@ class ExperimentSession:
 
     def run_one(self, name):
         """Execute one experiment; returns an :class:`ExperimentResult`."""
-        from repro.study.experiments import EXPERIMENTS, run_experiment
+        from repro.study.experiments import EXPERIMENTS
 
         with tracing.span(
             "experiment:%s" % name, "experiment", experiment=name
         ) as handle:
-            text = run_experiment(
-                name, workloads=self.workloads, scale=self.scale,
-                store=self.store,
+            # The runner alone: prepare_units already resolved its units.
+            text = EXPERIMENTS[name].run(
+                workloads=self.workloads, scale=self.scale, store=self.store
             )
         return ExperimentResult(
             id=name,
@@ -390,9 +374,8 @@ class ExperimentSession:
         whole batch.
         """
         names = self._validate(names)
-        # No eager trace warm-up: prepare_units resolves exactly the
-        # traces its pending units need (in this process, pre-fork), so
-        # a fully warm run touches no trace at all — zero decodes.
+        # No eager trace warm-up: each pending trace task resolves its
+        # own trace, so a fully warm run touches no trace at all.
         with tracing.span(
             "session.prepare_units", "session", experiments=len(names),
             jobs=jobs,
@@ -406,10 +389,6 @@ class ExperimentSession:
             for name in names:
                 yield self.run_one(name)
         self.phases.observe("experiments", phase.seconds)
-        # Every result the batch needed is memoized by now, and the
-        # record lists are the session's largest objects: a finished
-        # batch does not keep them alive for as long as the session is.
-        self.store.release()
 
     def _validate(self, names):
         """Resolve the id list, failing before any trace materializes."""

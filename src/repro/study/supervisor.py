@@ -4,9 +4,9 @@ The broker's original fan-out was a bare ``pool.map``: one OOM-killed
 worker aborted the entire ``repro all --jobs N`` run, a wedged unit
 held the pool forever, and neither left a trace in the metrics.  This
 module replaces it with a supervised pool — the workers stay
-long-lived (forked once, fork start method: they inherit warmed traces
-and the broker for free, and the copy-on-write cost is paid per
-worker, not per task), while supervision is per *task*:
+long-lived (forked once, fork start method: they inherit the broker
+for free, and the copy-on-write cost is paid per worker, not per
+task), while supervision is per *task*:
 
 * **per-task dispatch** — tasks travel to workers over duplex pipes,
   one attempt at a time, with at most ``jobs`` workers alive;
@@ -15,8 +15,12 @@ worker, not per task), while supervision is per *task*:
   detected through its pipe's EOF and its exit code, counted in the
   ``worker_crashes`` counter, and replaced; its task is retried;
 * **deadline timeouts** — ``unit_timeout`` seconds per attempt
-  (``--unit-timeout``); an expired worker is killed and treated as a
+  (``--unit-timeout``); an expired worker is stopped and treated as a
   crash;
+* **graceful stop** — a worker is stopped with SIGTERM, which it turns
+  into ``SystemExit`` so an in-flight cache write removes its temp
+  file; only a worker still alive :data:`STOP_GRACE` seconds later is
+  killed;
 * **retry with exponential backoff** — every retry draws a fresh
   fault decision and backs off ``backoff * 2**n`` seconds, counted in
   ``unit_retries``;
@@ -42,6 +46,7 @@ manifest.
 
 import multiprocessing.connection
 import os
+import signal
 import time
 import traceback
 
@@ -60,6 +65,15 @@ DEFAULT_BACKOFF = 0.05
 
 #: Ceiling on a single retry backoff, in seconds.
 MAX_BACKOFF = 1.0
+
+#: Seconds a stopped worker gets to unwind after SIGTERM (its pending
+#: ``finally`` blocks remove half-written temp files) before SIGKILL.
+STOP_GRACE = 2.0
+
+
+def _sigterm_to_exit(signum, frame):
+    """A worker's SIGTERM handler: unwind through ``finally`` blocks."""
+    raise SystemExit(128 + signum)
 
 
 class UnitExecutionError(RuntimeError):
@@ -217,26 +231,30 @@ class SupervisedExecutor:
 
         Each received attempt fires the ``worker.task`` fault point
         before computing, so injected kills/hangs/raises exercise the
-        exact recovery paths real worker deaths would.
+        exact recovery paths real worker deaths would.  SIGTERM (how
+        :meth:`_reap` stops a worker) raises ``SystemExit``, so a task
+        writing a cache entry unwinds through the writer's ``finally``
+        and leaves no temp file behind.
         """
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
-                break
-            task, attempt, label = message
-            status, payload = "ok", None
-            try:
-                faults.fire("worker.task", key="%s#%d" % (label, attempt))
-                payload = self.worker(task)
-            except BaseException:
-                status, payload = "error", traceback.format_exc()
-            try:
+        signal.signal(signal.SIGTERM, _sigterm_to_exit)
+        try:
+            while True:
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    break
+                if message is None:
+                    break
+                task, attempt, label = message
+                status, payload = "ok", None
+                try:
+                    faults.fire("worker.task", key="%s#%d" % (label, attempt))
+                    payload = self.worker(task)
+                except Exception:
+                    status, payload = "error", traceback.format_exc()
                 conn.send((status, payload))
-            except BaseException:
-                os._exit(1)
+        except BaseException:  # stopped, interrupted, or the pipe broke
+            os._exit(1)
         os._exit(0)
 
     def _collect(self, tasks, states, results, pending, workers, busy):
@@ -295,8 +313,13 @@ class SupervisedExecutor:
         return max(0.0, min(candidates) - now)
 
     def _reap(self, worker, kill=False):
+        # Stop gracefully first: SIGTERM lets the worker unwind; only a
+        # worker still alive after the grace period is killed outright.
         if kill and worker.process.is_alive():
-            worker.process.kill()
+            worker.process.terminate()
+            worker.process.join(STOP_GRACE)
+            if worker.process.is_alive():
+                worker.process.kill()
         worker.process.join()
         worker.conn.close()
         return worker.process.exitcode

@@ -259,10 +259,6 @@ class TraceCache:
 
     # ------------------------------------------------------------- protocol
 
-    def has(self, workload, scale=1):
-        """Whether a cache file for this trace exists (no validation)."""
-        return os.path.isfile(self.path_for(workload, scale))
-
     def stream(self, workload, scale=1):
         """A record-stream generator for the trace, or ``None`` on a miss.
 

@@ -360,9 +360,10 @@ class TestWarmSession:
         ]
 
     def test_jobs_shard_units_within_one_experiment(self, synth, monkeypatch):
-        # One experiment, several units: the sims must run in the forked
-        # unit workers, not the parent — per-unit sharding, not
-        # per-experiment.
+        # One experiment over two traces: the sims must run in the forked
+        # workers, one task per trace, not in the parent — per-trace
+        # sharding, not per-experiment.
+        workloads = [synth, get_workload("synth_stride")]
         parent_calls = []
         original = InOrderPipeline.run
 
@@ -370,15 +371,15 @@ class TestWarmSession:
             parent_calls.append(self.organization.name)
             return original(self, records)
 
-        serial = ExperimentSession(workloads=[synth])
+        serial = ExperimentSession(workloads=workloads)
         serial_text = serial.report_text(serial.run(["fig4"]))
 
         monkeypatch.setattr(InOrderPipeline, "run", counting_run)
-        parallel = ExperimentSession(workloads=[synth])
-        parallel_text = parallel.report_text(parallel.run(["fig4"], jobs=3))
+        parallel = ExperimentSession(workloads=workloads)
+        parallel_text = parallel.report_text(parallel.run(["fig4"], jobs=2))
         assert parallel_text == serial_text
-        assert parent_calls == []  # all three sims ran in workers
-        assert sum(parallel.results.sim_misses.values()) == 3
+        assert parent_calls == []  # all six sims ran in workers
+        assert sum(parallel.results.sim_misses.values()) == 6
 
 
 class TestCacheCli:

@@ -27,6 +27,7 @@ from repro.obs.faults import (
     POINTS,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import tracefile
 from repro.sim.tracefile import TraceCodecError
 from repro.study.result_store import ResultStore
 from repro.study.scheduler import AnalysisUnit
@@ -305,6 +306,38 @@ class TestSupervisedExecutor:
         assert _counter_values(registry, "unit_quarantines") == {"task-4": 1}
 
 
+    def test_stopped_worker_unwinds_its_trace_cache_write(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker stopped mid trace-cache write (here at --unit-timeout)
+        # gets SIGTERM first, so the writer's finally removes its temp
+        # file; a bare SIGKILL would leave the .tmp behind.
+        cache = TraceCache(str(tmp_path))
+        workload = get_workload("synth_small")
+        records = workload.trace(scale=1)
+        parent = os.getpid()
+        dump_trace = tracefile.dump_trace
+
+        def blocked_in_child(path, records, meta=None):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return dump_trace(path, records, meta=meta)
+
+        monkeypatch.setattr(tracefile, "dump_trace", blocked_in_child)
+
+        def store(task):
+            return cache.store(workload, 1, records) is not None
+
+        registry = MetricsRegistry()
+        executor = _executor(store, store, registry, jobs=1, unit_timeout=1.0)
+        started = time.monotonic()
+        assert executor.run([1]) == [True]
+        assert time.monotonic() - started < 30.0
+        assert _counter_values(registry, "worker_crashes") == {"task-1": 2}
+        assert stray_temp_files(str(tmp_path)) == []
+        assert cache.info()["entries"] == 1
+
+
 # --------------------------------------------------------- degraded stores
 
 
@@ -398,7 +431,7 @@ class TestDegradedTraceCache:
             list(stream)
         # Fail-closed: the (supposedly rotten) entry is gone, so the
         # next consumer re-materializes instead of re-reading damage.
-        assert not cache.has(workload, 1)
+        assert not os.path.isfile(cache.path_for(workload, 1))
 
     def test_decode_corruption_counts_as_miss(self, tmp_path):
         cache = TraceCache(str(tmp_path))
@@ -406,7 +439,7 @@ class TestDegradedTraceCache:
         assert cache.store(workload, 1, self._records()) is not None
         faults.install_spec("trace.decode:corrupt@1.0")
         assert cache.load(workload, 1) is None
-        assert not cache.has(workload, 1)
+        assert not os.path.isfile(cache.path_for(workload, 1))
 
 
 # ------------------------------------------------------------- temp hygiene

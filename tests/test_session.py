@@ -183,11 +183,58 @@ class TestExperimentSession:
 
     def test_prepare_is_idempotent(self):
         session = ExperimentSession(workloads=FAST)
-        session.prepare(["table1"])
-        session.prepare(["table1", "table2"])
+        session.prepare()
+        session.prepare()
         assert all(
             count == 1 for count in session.store.materializations.values()
         )
+
+
+class TestTraceTasks:
+    NAMES = ("fig4", "table1", "table5", "ablation-schemes")
+
+    def test_serial_batch_holds_at_most_one_trace(self, monkeypatch):
+        held = []
+        original = TraceStore.trace
+
+        def trace(store, workload, scale=1):
+            held.append(len(store))
+            records = original(store, workload, scale=scale)
+            held.append(len(store))
+            return records
+
+        monkeypatch.setattr(TraceStore, "trace", trace)
+        session = ExperimentSession(workloads=FAST)
+        by_name = {workload.name: workload for workload in FAST}
+        computed = session.results.run_units(
+            session.required_units(self.NAMES), by_name
+        )
+        assert computed > 0
+        assert held and max(held) <= 1, held
+        assert len(session.store) == 0
+
+    def test_parallel_run_hands_one_task_per_trace(self, monkeypatch):
+        from repro.study.supervisor import SupervisedExecutor
+
+        handed = []
+        original = SupervisedExecutor.run
+
+        def run(executor, tasks):
+            handed.extend(
+                (executor.label_for(task), task) for task in tasks
+            )
+            return original(executor, tasks)
+
+        monkeypatch.setattr(SupervisedExecutor, "run", run)
+        session = ExperimentSession(workloads=FAST)
+        computed = session.prepare_units(self.NAMES, jobs=2)
+        labels = [label for label, _task in handed]
+        assert labels == ["%s@1" % workload.name for workload in FAST]
+        for label, task in handed:
+            assert {"%s@%d" % (unit.workload, unit.scale)
+                    for unit in task.units} == {label}
+        assert sum(len(task.units) for _label, task in handed) == computed
+        assert len(session.store) == 0
 
 
 class TestParallelFallback:
@@ -211,10 +258,25 @@ class TestParallelFallback:
 
 class TestStoreThreading:
     def test_run_experiment_populates_store(self):
+        # Each trace is materialized once, and no task keeps it afterwards.
         store = TraceStore()
         text = run_experiment("table1", workloads=FAST, store=store)
         assert "Table 1" in text
-        assert len(store) == len(FAST)
+        assert store.materializations == {
+            (workload.name, 1): 1 for workload in FAST
+        }
+        assert len(store) == 0
+
+    def test_session_less_run_experiment_resolves_each_trace_once(self):
+        # fig4's runner requests its simulations one at a time; the
+        # batch run_experiment sends first makes them memo hits, so no
+        # released trace is ever materialized again.
+        store = TraceStore()
+        run_experiment("fig4", workloads=FAST, store=store)
+        assert store.materializations == {
+            (workload.name, 1): 1 for workload in FAST
+        }
+        assert len(store) == 0
 
     def test_store_output_matches_storeless(self):
         store = TraceStore()

@@ -20,6 +20,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import tracing
 from repro.sim import tracefile
 from repro.study import pc_study
 from repro.study.scheduler import WalkUnit
@@ -258,6 +259,23 @@ class TestFusedScheduling:
         assert result.text == clean.text
         # The damaged entry was removed and the trace re-simulated.
         assert session.store.materializations == {(workload.name, 1): 1}
+
+    def test_walk_group_span_notes_records_fed(self):
+        workloads = _fast_workloads()
+        tracer = tracing.start_trace()
+        try:
+            ExperimentSession(workloads=workloads).run(["table1"])
+        finally:
+            tracing.set_tracer(None)
+        fed = {
+            event["name"]: event["args"]["records"]
+            for event in tracer.events
+            if event["name"].startswith("walk.group:")
+        }
+        assert fed == {
+            "walk.group:%s@1" % workload.name: len(workload.trace())
+            for workload in workloads
+        }
 
     def test_parallel_walk_groups_match_serial(self, tmp_path):
         serial = ExperimentSession(workloads=_fast_workloads())

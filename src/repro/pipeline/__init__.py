@@ -36,7 +36,7 @@ from repro.pipeline.organizations import (
     simulate,
 )
 from repro.pipeline.kernel import (
-    ExpandedTrace,
+    TraceColumns,
     default_kernel_name,
     get_kernel,
 )
@@ -46,9 +46,9 @@ __all__ = [
     "ActivityReport",
     "AlwaysStallPredictor",
     "BimodalPredictor",
-    "ExpandedTrace",
     "InOrderPipeline",
     "PipelineResult",
+    "TraceColumns",
     "default_kernel_name",
     "get_kernel",
     "ALL_ORGANIZATIONS",

@@ -6,8 +6,9 @@ stage is busy and cannot accept the next instruction — plus optional
 extra *latency* on the EX side (skew latches), and dispatched with the
 classic reservation recurrence.  :class:`InOrderPipeline` is a thin
 facade over :class:`~repro.pipeline.kernel.TabularKernel`, which
-precomputes the expansion with memoization and then runs the
-recurrence:
+computes the trace's significance, stall and prediction columns, maps
+the organization over the distinct significance signatures, and then
+runs the recurrence:
 
 * a stage is entered one cycle after the instruction entered the
   previous stage (byte cut-through: later bytes of a serial operation
@@ -141,9 +142,9 @@ class PipelineResult:
 class InOrderPipeline:
     """Trace-driven timing model for one organization.
 
-    ``run`` expands the trace through
-    :class:`~repro.pipeline.kernel.TabularKernel` and replays the
-    reservation recurrence documented above.  The per-run
+    ``run`` builds private per-trace columns and replays the reservation
+    recurrence documented above through
+    :class:`~repro.pipeline.kernel.TabularKernel`.  The per-run
     :class:`~repro.sim.hierarchy_model.MemoHierarchy` state is exposed
     as :attr:`hierarchy`; ``hierarchy_config`` parameterizes its
     geometry and latencies (``None``: the paper's Section 3 values).

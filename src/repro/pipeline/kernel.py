@@ -1,74 +1,150 @@
-"""The pipeline kernel: semantic expansion, then the timing recurrence.
+"""The pipeline kernel: per-trace columns, organization tables, recurrence.
 
-The trace-driven timing model splits into two halves:
+A trace-driven simulation splits into work that depends only on the
+trace and work that depends on the organization.  :class:`TraceColumns`
+holds the first kind.  Three passes fill it, each at most once per
+trace, and every simulation over the trace reads the result:
 
-* **semantic expansion** (:meth:`TabularKernel.expand`) — turning each
-  trace record into the per-stage occupancies, fetch footprint, EX
-  latency, register usage and control/memory timing *plans* its
-  organization assigns it.  This is a pure function of the record and
-  the organization.
-* **the timing recurrence** (:meth:`TabularKernel.simulate`) — the
-  stateful reservation model that threads those per-record facts
-  through the five stages, the memory hierarchy and the optional branch
-  predictor.
+* the **significance pass** (one per scheme,
+  :func:`~repro.pipeline.siginfo.significance_column`) gives a column of
+  signature ids, the signature list and its histogram.  A trace has a
+  few hundred distinct signatures per scheme;
+* the **memory-system pass**
+  (:meth:`~repro.sim.hierarchy_model.MemoHierarchy.classify_block`)
+  gives the instruction- and data-side stall columns and the final
+  hierarchy statistics.  Every organization makes the same hierarchy
+  calls in the same order, one fetch per record and one data access per
+  memory record, so the stalls do not depend on the organization;
+* the **prediction pass** gives the bimodal predictor's per-record hit
+  column and its accuracy.  The predictor, too, sees every control
+  record in order under every organization.
 
-Expansion walks the trace once, memoizing the significance work per
-unique instruction word, operand value and ALU operation (traces revisit
-the same static instructions thousands of times, and operand values
-repeat heavily — that regularity is the paper's own premise).  The
-recurrence then runs over local variables with no per-record attribute
-lookups or dict churn.
+The kernel does the organization-dependent rest:
 
-``simulate``'s ``hierarchy`` is a per-run
-:class:`~repro.sim.hierarchy_model.MemoHierarchy`, consumed only
-through its narrow timing protocol: ``ifetch_stall(pc)`` /
-``data_stall(addr, is_store)`` returning bare stall-cycle integers, plus
-``stats()`` for the result.
+* :meth:`TabularKernel.expand` maps one organization over the signature
+  list into a :class:`TimingTable`: per signature, the register usage,
+  stage occupancies, EX latency, fetch bytes and the address and
+  resolution plans.  ``stage_excess`` is a sum over the histogram.  The
+  table is built once per organization and kept with the columns, so a
+  predictor variant reuses it;
+* :meth:`TabularKernel.simulate` runs the reservation recurrence over
+  the zipped ``(signature id, fetch stall, data stall, prediction hit)``
+  columns, indexing the table by signature id.  It holds no trace
+  record and calls no hierarchy method.
+
+Each pass runs inside the first ``expand``/``simulate`` call that needs
+it, under its own ``compute`` span (``columns.significance``,
+``columns.memory``, ``columns.prediction``).
 
 This is the only production kernel.  The differential suite
 (``tests/test_kernels.py``) holds it, field for field, to the original
-fused loop kept as a test oracle in ``tests/oracles/reference_kernel.py``.
+fused per-record loop kept as a test oracle in
+``tests/oracles/reference_kernel.py``.
 """
+
+from array import array
+from collections import namedtuple
+from itertools import repeat
 
 from repro.obs import tracing
 from repro.pipeline.base import PipelineResult
-from repro.pipeline.siginfo import SigInfo, alu_activity
+from repro.pipeline.predictor import BimodalPredictor
+from repro.pipeline.siginfo import significance_column
+from repro.sim.hierarchy_model import MemoHierarchy
 
 #: The kernel's name, as :func:`get_kernel` and the benchmark know it.
 TABULAR_KERNEL = "tabular"
 
 
-class ExpandedTrace:
-    """Semantic expansion of one trace under one organization.
+class TraceColumns:
+    """The organization-independent columns of one trace.
 
-    ``rows`` holds one plain tuple per record (see
-    :meth:`TabularKernel.expand` for the layout) and ``stage_excess``
-    the summed beyond-one-cycle occupancy per stage.
+    ``hierarchy`` is the object the memory-system pass classifies the
+    trace through (``None``: a fresh paper-geometry
+    :class:`~repro.sim.hierarchy_model.MemoHierarchy`) and ``predictor``
+    the one the prediction pass runs (``None``: a fresh
+    :class:`~repro.pipeline.predictor.BimodalPredictor`).  ``label``
+    (``workload@scale``) tags the passes' spans.  Every pass runs on
+    first use; ``len()`` is the record count.
     """
 
-    __slots__ = ("organization", "rows", "stage_excess")
+    def __init__(self, records, hierarchy=None, predictor=None, label=None):
+        self.records = records
+        self.label = label
+        self._hierarchy = hierarchy
+        self._predictor = predictor
+        self._significance = {}
+        self._memory = None
+        self._prediction = None
+        #: organization -> its :class:`TimingTable` (see
+        #: :meth:`TabularKernel.expand`).
+        self.tables = {}
 
-    def __init__(self, organization, rows, stage_excess):
-        self.organization = organization
-        self.rows = rows
-        self.stage_excess = stage_excess
+    def __len__(self):
+        return len(self.records)
 
-    @property
-    def count(self):
-        """Number of expanded records."""
-        return len(self.rows)
+    def significance(self, scheme):
+        """The :class:`~repro.pipeline.siginfo.SignificanceColumn` under
+        ``scheme``."""
+        column = self._significance.get(scheme)
+        if column is None:
+            with tracing.span(
+                "columns.significance", "compute", scheme=scheme.name,
+                trace=self.label, records=len(self.records),
+            ):
+                column = significance_column(self.records, scheme)
+            self._significance[scheme] = column
+        return column
 
-    def __repr__(self):
-        return "ExpandedTrace(%s, %d records)" % (
-            self.organization.name, self.count,
-        )
+    def memory(self):
+        """``(fetch stalls, data stalls, hierarchy stats)``."""
+        if self._memory is None:
+            hierarchy = self._hierarchy
+            if hierarchy is None:
+                hierarchy = MemoHierarchy()
+            with tracing.span(
+                "columns.memory", "compute", trace=self.label,
+                records=len(self.records),
+            ):
+                istalls, dstalls = hierarchy.classify_block(self.records)
+            self._memory = (istalls, dstalls, hierarchy.stats())
+        return self._memory
+
+    def prediction(self):
+        """``(hit column, accuracy)``: 1 where a control record was
+        predicted correctly, else 0."""
+        if self._prediction is None:
+            predictor = self._predictor
+            if predictor is None:
+                predictor = BimodalPredictor()
+            with tracing.span(
+                "columns.prediction", "compute", trace=self.label,
+                records=len(self.records),
+            ):
+                predict = predictor.predict
+                hits = array("B", bytes(len(self.records)))
+                for index, record in enumerate(self.records):
+                    if record.instr.is_control and predict(record):
+                        hits[index] = 1
+            self._prediction = (hits, predictor.accuracy)
+        return self._prediction
 
 
-#: Address-readiness modes in an expanded row.
+#: One organization's expansion of one trace: ``rows[signature id]`` is
+#: ``(src_a, src_b, dest, dest_kind, occ_if, occ_rd, occ_ex, occ_mem,
+#: occ_wb, ex_lat, fetch_bytes, has_mem, addr_mode, addr_off, res_mode,
+#: res_depth)`` and ``stage_excess`` the summed beyond-one-cycle
+#: occupancy per stage.  An instruction reads at most two registers; a
+#: missing source is :data:`_NO_REGISTER`.
+TimingTable = namedtuple(
+    "TimingTable", ("organization", "rows", "stage_excess")
+)
+
+#: Address-readiness modes in a table row.
 _ADDR_EX_END = 0
 _ADDR_EX_START = 1
 
-#: Resolution modes in an expanded row.
+#: Resolution modes in a table row.
 _RES_NONE = 0
 _RES_RD_END = 1
 _RES_EX_END = 2
@@ -78,49 +154,66 @@ _ADDR_MODES = {"ex_end": _ADDR_EX_END, "ex_start": _ADDR_EX_START}
 _RES_MODES = {"rd_end": _RES_RD_END, "ex_end": _RES_EX_END,
               "ex_start": _RES_EX_START}
 
+_STAGES = ("if", "rd", "ex", "mem", "wb")
+
+#: The readiness slot a missing source reads: past the 32 registers, so
+#: no result ever lands there and it stays 0.
+_NO_REGISTER = 32
+
+
+def _timing_table(org, column):
+    """Map ``org``'s hooks over the signatures of ``column``."""
+    bytes_fetched = org.compressor.bytes_fetched
+    excess = [0] * len(_STAGES)
+    rows = []
+    for sig, count in zip(column.signatures, column.histogram):
+        srcs, dest, dest_kind, is_control = column.statics[sig.word]
+        occ = org.occupancies(sig)
+        for stage, cycles in enumerate(occ):
+            excess[stage] += (cycles - 1) * count
+        if sig.has_mem:
+            addr_kind, addr_off = org.address_plan(sig)
+            addr_mode = _ADDR_MODES[addr_kind]
+        else:
+            addr_mode = _ADDR_EX_END
+            addr_off = 0
+        if is_control:
+            res_kind, res_depth = org.resolution_plan(sig)
+            res_mode = _RES_MODES[res_kind]
+        else:
+            res_mode = _RES_NONE
+            res_depth = 0
+        src_a, src_b = srcs + (_NO_REGISTER,) * (2 - len(srcs))
+        rows.append((src_a, src_b, dest, dest_kind) + tuple(occ) + (
+            org.ex_latency(sig), bytes_fetched(sig.instr), sig.has_mem,
+            addr_mode, addr_off, res_mode, res_depth,
+        ))
+    return TimingTable(org, rows, dict(zip(_STAGES, excess)))
+
 
 class TabularKernel:
-    """Precomputed expansion plus a tightened reservation recurrence.
+    """Organization tables plus a tightened reservation recurrence.
 
     Kernels hold no per-run state: the one instance serves every
-    simulation in a process.
-
-    ``expand`` walks the trace once and emits one plain tuple per
-    record::
-
-        (pc, srcs, dest, dest_kind,
-         occ_if, occ_rd, occ_ex, occ_mem, occ_wb, ex_lat, fetch_bytes,
-         mem_addr, mem_is_store, addr_mode, addr_off,
-         res_mode, res_depth, record)
-
-    Three memo tables carry the significance work:
-
-    * per instruction *word*: fetch bytes, source/destination registers
-      and control classification (a trace has a few hundred static
-      instructions, so this table hits ~100%);
-    * per operand *value*: ``scheme.significant_blocks`` (operand values
-      repeat heavily — the premise of the paper);
-    * per ``(alu_kind, a, b)`` triple: the significance-ALU block count.
-
-    The per-record occupancies, EX latency and timing plans are then
-    memoized on the *significance signature* — ``(word, max_src_blocks,
-    alu_blocks, mem_blocks, result_blocks, has_mem, is_store)`` — which
-    is the documented purity contract for organizations under this
-    kernel: their ``occupancies``/``ex_latency``/plan hooks may depend
-    on the record only through that signature (all built-in
-    organizations do; ``info.src_blocks`` is collapsed to its maximum
-    and ``info.alu_result`` is ``None`` on the memoized path).
-
-    ``simulate`` replays the reservation recurrence over those rows
-    with stage clocks, stall counters and register readiness held in
-    local variables — no per-record siginfo construction, organization
-    dispatch or dict churn.
+    simulation in a process.  An organization's timing hooks receive a
+    :class:`~repro.pipeline.siginfo.Signature` and must depend on the
+    record only through it (every built-in organization does).
     """
 
     name = TABULAR_KERNEL
 
     def run(self, records, organization, hierarchy, predictor=None):
-        """``simulate(expand(records, organization), ...)``.
+        """Simulate ``records`` over private columns.
+
+        The memory-system pass runs through ``hierarchy`` and, when a
+        ``predictor`` is given, the prediction pass through it, so both
+        objects end in the state a record-at-a-time run leaves them in.
+        """
+        columns = TraceColumns(records, hierarchy, predictor)
+        return self.run_columns(columns, organization, predictor is not None)
+
+    def run_columns(self, columns, organization, predicted=False):
+        """``simulate(expand(columns, organization), columns, predicted)``.
 
         Both halves run under ``compute``-category spans that note the
         record count, so a trace shows expansion and timing-recurrence
@@ -128,171 +221,40 @@ class TabularKernel:
         """
         with tracing.span(
             "kernel.expand", "compute", organization=organization.name,
-        ) as handle:
-            expanded = self.expand(records, organization)
-            handle.note(records=expanded.count)
+            records=len(columns),
+        ):
+            table = self.expand(columns, organization)
         with tracing.span(
             "kernel.simulate", "compute", organization=organization.name,
-            records=expanded.count,
+            records=len(columns),
         ):
-            return self.simulate(expanded, hierarchy, predictor)
+            return self.simulate(table, columns, predicted)
 
-    def expand(self, records, organization):
-        """One-pass memoized expansion; returns a row-table ExpandedTrace."""
-        org = organization
-        scheme = org.scheme
-        compressor = org.compressor
-        block_bytes = scheme.block_bits // 8
-        sig_blocks = scheme.significant_blocks
+    def expand(self, columns, organization):
+        """The :class:`TimingTable` of ``organization`` over ``columns``,
+        built once per organization and kept with the columns."""
+        table = columns.tables.get(organization)
+        if table is None:
+            table = _timing_table(
+                organization, columns.significance(organization.scheme)
+            )
+            columns.tables[organization] = table
+        return table
 
-        word_memo = {}     # instr word -> static facts
-        value_memo = {}    # operand value -> significant blocks
-        alu_memo = {}      # (kind, a, b) -> alu blocks
-        row_memo = {}      # significance signature -> timing row tail
-
-        rows = []
-        append = rows.append
-        exc_if = exc_rd = exc_ex = exc_mem = exc_wb = 0
-
-        for record in records:
-            instr = record.instr
-            word = instr.word
-            static = word_memo.get(word)
-            if static is None:
-                static = (
-                    compressor.bytes_fetched(instr),
-                    instr.source_registers(),
-                    instr.destination_register(),
-                    instr.is_load,
-                    instr.is_control,
-                )
-                word_memo[word] = static
-            fetch_bytes, srcs, dest, is_load, is_control = static
-
-            max_src = 0
-            for value in record.read_values:
-                blocks = value_memo.get(value)
-                if blocks is None:
-                    blocks = sig_blocks(value)
-                    value_memo[value] = blocks
-                if blocks > max_src:
-                    max_src = blocks
-
-            write_value = record.write_value
-            if write_value is None:
-                result_blocks = 0
-            else:
-                result_blocks = value_memo.get(write_value)
-                if result_blocks is None:
-                    result_blocks = sig_blocks(write_value)
-                    value_memo[write_value] = result_blocks
-
-            mem_addr = record.mem_addr
-            has_mem = mem_addr is not None
-            is_store = record.mem_is_store
-            if has_mem:
-                value_blocks = value_memo.get(record.mem_value)
-                if value_blocks is None:
-                    value_blocks = sig_blocks(record.mem_value)
-                    value_memo[record.mem_value] = value_blocks
-                size_blocks = record.mem_size // block_bytes
-                if size_blocks < 1:
-                    size_blocks = 1
-                mem_blocks = (
-                    value_blocks if value_blocks < size_blocks else size_blocks
-                )
-            else:
-                mem_blocks = 0
-
-            alu_kind = record.alu_kind
-            if alu_kind is None:
-                alu_blocks = 0
-                dest_kind = 0 if dest is None else 3
-            else:
-                if alu_kind == "lui":
-                    alu_blocks = result_blocks if result_blocks > 1 else 1
-                elif alu_kind in ("mult", "div"):
-                    a_blocks = value_memo.get(record.alu_a)
-                    if a_blocks is None:
-                        a_blocks = sig_blocks(record.alu_a)
-                        value_memo[record.alu_a] = a_blocks
-                    b_blocks = value_memo.get(record.alu_b)
-                    if b_blocks is None:
-                        b_blocks = sig_blocks(record.alu_b)
-                        value_memo[record.alu_b] = b_blocks
-                    alu_blocks = a_blocks if a_blocks > b_blocks else b_blocks
-                else:
-                    alu_key = (alu_kind, record.alu_a, record.alu_b)
-                    alu_blocks = alu_memo.get(alu_key)
-                    if alu_blocks is None:
-                        result = alu_activity(record, scheme)
-                        if result is None:
-                            alu_blocks = 0
-                        else:
-                            alu_blocks = result.blocks_operated
-                            if alu_blocks < 1:
-                                alu_blocks = 1
-                        alu_memo[alu_key] = alu_blocks
-                dest_kind = 0 if dest is None else 2
-            if is_load and dest is not None:
-                dest_kind = 1
-
-            signature = (word, max_src, alu_blocks, mem_blocks,
-                         result_blocks, has_mem, is_store)
-            tail = row_memo.get(signature)
-            if tail is None:
-                info = SigInfo(
-                    fetch_bytes,
-                    (max_src,) if max_src else (),
-                    result_blocks,
-                    mem_blocks,
-                    alu_blocks,
-                    None,
-                )
-                occ = org.occupancies(record, info)
-                ex_lat = org.ex_latency(record, info)
-                if has_mem:
-                    addr_kind, addr_off = org.address_plan(record, info)
-                    addr_mode = _ADDR_MODES[addr_kind]
-                else:
-                    addr_mode = _ADDR_EX_END
-                    addr_off = 0
-                if is_control:
-                    res_kind, res_depth = org.resolution_plan(record, info)
-                    res_mode = _RES_MODES[res_kind]
-                else:
-                    res_mode = _RES_NONE
-                    res_depth = 0
-                tail = occ + (ex_lat, addr_mode, addr_off, res_mode, res_depth)
-                row_memo[signature] = tail
-            occ_if = tail[0]
-            exc_if += occ_if - 1
-            exc_rd += tail[1] - 1
-            exc_ex += tail[2] - 1
-            exc_mem += tail[3] - 1
-            exc_wb += tail[4] - 1
-            append((
-                record.pc, srcs, dest, dest_kind,
-                occ_if, tail[1], tail[2], tail[3], tail[4], tail[5],
-                fetch_bytes, mem_addr, is_store, tail[6], tail[7],
-                tail[8], tail[9], record,
-            ))
-        stage_excess = {
-            "if": exc_if, "rd": exc_rd, "ex": exc_ex,
-            "mem": exc_mem, "wb": exc_wb,
-        }
-        return ExpandedTrace(org, rows, stage_excess)
-
-    def simulate(self, expanded, hierarchy, predictor=None):
-        """Replay the tightened recurrence over precomputed rows."""
-        rows = expanded.rows
-        org = expanded.organization
+    def simulate(self, table, columns, predicted=False):
+        """Replay the recurrence over the columns; with ``predicted``,
+        correctly predicted control records stop gating fetch."""
+        org = table.organization
+        rows = table.rows
+        ids = columns.significance(org.scheme).ids
+        istalls, dstalls, hierarchy_stats = columns.memory()
+        if predicted:
+            hits, accuracy = columns.prediction()
+        else:
+            hits, accuracy = repeat(0), None
         banked_fetch = org.banked_fetch
         streams = org.streams_operands
         forward_latency = org.forward_latency
-        ifetch_stall = hierarchy.ifetch_stall
-        data_stall = hierarchy.data_stall
-        predict = predictor.predict if predictor is not None else None
 
         # Stage clocks and stall counters as locals (no list/dict churn).
         f_if = f_rd = f_ex = f_mem = f_wb = 0
@@ -301,16 +263,19 @@ class TabularKernel:
         s_branch = s_icache = s_dcache = s_data = 0
         s_rd = s_ex = s_mem = s_wb = 0
         last_end = 0
-        # Register readiness as flat per-register arrays (regs are 0..31).
-        ready_first_of = [0] * 32
-        ready_last_of = [0] * 32
+        # Register readiness as flat per-register arrays (regs are 0..31,
+        # plus the never-written _NO_REGISTER slot); the organization's
+        # forwarding style picks the one that gates EX.
+        ready_first_of = [0] * (_NO_REGISTER + 1)
+        ready_last_of = [0] * (_NO_REGISTER + 1)
+        ready_of = ready_first_of if streams else ready_last_of
 
-        for (pc, srcs, dest, dest_kind,
+        for sid, imiss, dmiss, hit in zip(ids, istalls, dstalls, hits):
+            (src_a, src_b, dest, dest_kind,
              occ_if, occ_rd, occ_ex, occ_mem, occ_wb, ex_lat,
-             fetch_bytes, mem_addr, is_store, addr_mode, addr_off,
-             res_mode, res_depth, record) in rows:
+             fetch_bytes, has_mem, addr_mode, addr_off,
+             res_mode, res_depth) = rows[sid]
             # ----------------------------------------------------------- IF
-            imiss = ifetch_stall(pc)
             if_start = f_if
             if redirect_time > if_start:
                 s_branch += redirect_time - if_start
@@ -339,19 +304,13 @@ class TabularKernel:
             f_rd = rd_end
 
             # ----------------------------------------------------------- EX
-            ready_first = 0
-            ready_last = 0
-            for register in srcs:
-                value = ready_first_of[register]
-                if value > ready_first:
-                    ready_first = value
-                value = ready_last_of[register]
-                if value > ready_last:
-                    ready_last = value
+            operands = ready_of[src_a]
+            value = ready_of[src_b]
+            if value > operands:
+                operands = value
             arrival = rd_start + 1
             structural = arrival if arrival >= f_ex else f_ex
             s_ex += structural - arrival
-            operands = ready_first if streams else ready_last
             ex_start = operands if operands > structural else structural
             s_data += ex_start - structural
             ex_busy_until = ex_start + occ_ex
@@ -362,11 +321,7 @@ class TabularKernel:
 
             # ---------------------------------------------------------- MEM
             arrival = ex_start + 1
-            if mem_addr is None:
-                dmiss = 0
-                mem_start = arrival if arrival >= f_mem else f_mem
-            else:
-                dmiss = data_stall(mem_addr, is_store)
+            if has_mem:
                 if addr_mode == _ADDR_EX_END:
                     address_ready = ex_end
                 else:
@@ -376,6 +331,8 @@ class TabularKernel:
                     mem_start = address_ready
                 if f_mem > mem_start:
                     mem_start = f_mem
+            else:
+                mem_start = arrival if arrival >= f_mem else f_mem
             if f_mem > arrival:
                 s_mem += f_mem - arrival
             f_mem = mem_start + occ_mem + dmiss
@@ -407,10 +364,9 @@ class TabularKernel:
                     ready_last_of[dest] = ex_end
 
             # ------------------------------------------------- control flow
-            if res_mode:
-                if predict is not None and predict(record):
-                    pass  # correct prediction: fetch continues unhindered
-                elif res_mode == _RES_EX_END:
+            if res_mode and not hit:
+                # A correct prediction lets fetch continue unhindered.
+                if res_mode == _RES_EX_END:
                     redirect_time = ex_end
                 elif res_mode == _RES_RD_END:
                     redirect_time = rd_end
@@ -432,14 +388,12 @@ class TabularKernel:
         }
         return PipelineResult(
             org.name,
-            len(rows),
+            len(ids),
             last_end,
             stalls,
-            hierarchy.stats(),
-            stage_excess=dict(expanded.stage_excess),
-            predictor_accuracy=(
-                predictor.accuracy if predictor is not None else None
-            ),
+            {name: dict(entry) for name, entry in hierarchy_stats.items()},
+            stage_excess=dict(table.stage_excess),
+            predictor_accuracy=accuracy,
         )
 
 

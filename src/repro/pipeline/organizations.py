@@ -1,9 +1,10 @@
 """The seven pipeline organizations of the paper (Sections 3-6).
 
-Each organization converts a trace record plus its
-:class:`~repro.pipeline.siginfo.SigInfo` into per-stage occupancies, an
-optional EX completion latency (skew latches), and control-resolution
-timing.  Widths are in *blocks* of the organization's scheme granularity
+Each organization converts a record's
+:class:`~repro.pipeline.siginfo.Signature` into per-stage occupancies,
+an optional EX completion latency (skew latches), and control-resolution
+timing.  The signature is all a hook sees of the record, so the kernel
+evaluates each hook once per distinct signature of a trace.  Widths are in *blocks* of the organization's scheme granularity
 (bytes for byte organizations, halfwords for the 16-bit serial one).
 
 Interpretation notes (recorded per DESIGN.md):
@@ -70,11 +71,11 @@ class Organization:
     #: organizations keep the paper's literal extra fetch cycle.
     banked_fetch = False
 
-    def occupancies(self, record, info):
+    def occupancies(self, sig):
         """Return (IF, RD, EX, MEM, WB) stage-busy cycles."""
         raise NotImplementedError
 
-    def ex_latency(self, record, info):
+    def ex_latency(self, sig):
         """Extra EX completion latency beyond the busy time."""
         return 0
 
@@ -83,7 +84,7 @@ class Organization:
     # of computing a cycle, so the kernel can precompute the expansion
     # and evaluate the plan later against runtime EX/RD times.
 
-    def address_plan(self, record, info):
+    def address_plan(self, sig):
         """How a memory access's D-cache launch time derives from EX.
 
         Returns ``("ex_end", 0)`` (the full effective address must be
@@ -94,14 +95,14 @@ class Organization:
         """
         return ("ex_end", 0)
 
-    def resolution_plan(self, record, info):
+    def resolution_plan(self, sig):
         """How a control instruction's redirect time derives from RD/EX.
 
         Returns ``("rd_end", 0)``, ``("ex_end", 0)`` or
         ``("ex_start", depth)`` — the last resolving at
         ``max(ex_start + depth, rd_end)``.
         """
-        if record.instr.opcode in (Opcode.J, Opcode.JAL):
+        if sig.instr.opcode in (Opcode.J, Opcode.JAL):
             return ("rd_end", 0)  # target computable at decode
         return ("ex_end", 0)
 
@@ -109,9 +110,9 @@ class Organization:
         return "Organization(%s)" % self.name
 
 
-def _compressed_fetch_cycles(info):
+def _compressed_fetch_cycles(org, sig):
     """Figure 3's I-cache: 3 byte banks + extension bit."""
-    return 1 + (1 if info.fetch_bytes > 3 else 0)
+    return 1 + (1 if org.compressor.bytes_fetched(sig.instr) > 3 else 0)
 
 
 class BaselineOrg(Organization):
@@ -120,7 +121,7 @@ class BaselineOrg(Organization):
     name = "baseline32"
     scheme = WORD_SCHEME
 
-    def occupancies(self, record, info):
+    def occupancies(self, sig):
         return (1, 1, 1, 1, 1)
 
 
@@ -136,16 +137,16 @@ class ByteSerialOrg(Organization):
     scheme = BYTE_SCHEME
     streams_operands = True
 
-    def occupancies(self, record, info):
-        occ_if = _compressed_fetch_cycles(info)
-        occ_rd = max(1, info.max_src_blocks)
-        occ_ex = max(1, info.alu_blocks)
-        if record.mem_addr is not None:
-            occ_mem = max(1, info.mem_blocks)
+    def occupancies(self, sig):
+        occ_if = _compressed_fetch_cycles(self, sig)
+        occ_rd = max(1, sig.max_src)
+        occ_ex = max(1, sig.alu_blocks)
+        if sig.has_mem:
+            occ_mem = max(1, sig.mem_blocks)
         else:
             # Results pass through the byte-wide MEM-stage latches.
-            occ_mem = max(1, info.result_blocks)
-        occ_wb = max(1, info.result_blocks)
+            occ_mem = max(1, sig.result_blocks)
+        occ_wb = max(1, sig.result_blocks)
         return (occ_if, occ_rd, occ_ex, occ_mem, occ_wb)
 
 
@@ -160,15 +161,15 @@ class HalfwordSerialOrg(Organization):
     scheme = HALFWORD_SCHEME
     streams_operands = True
 
-    def occupancies(self, record, info):
-        occ_if = _compressed_fetch_cycles(info)
-        occ_rd = max(1, info.max_src_blocks)
-        occ_ex = max(1, info.alu_blocks)
-        if record.mem_addr is not None:
-            occ_mem = max(1, info.mem_blocks)
+    def occupancies(self, sig):
+        occ_if = _compressed_fetch_cycles(self, sig)
+        occ_rd = max(1, sig.max_src)
+        occ_ex = max(1, sig.alu_blocks)
+        if sig.has_mem:
+            occ_mem = max(1, sig.mem_blocks)
         else:
-            occ_mem = max(1, info.result_blocks)
-        occ_wb = max(1, info.result_blocks)
+            occ_mem = max(1, sig.result_blocks)
+        occ_wb = max(1, sig.result_blocks)
         return (occ_if, occ_rd, occ_ex, occ_mem, occ_wb)
 
 
@@ -183,15 +184,15 @@ class SemiParallelOrg(Organization):
     scheme = BYTE_SCHEME
     streams_operands = True
 
-    def occupancies(self, record, info):
-        occ_if = _compressed_fetch_cycles(info)
-        occ_rd = max(1, _ceil_div(info.max_src_blocks, 2))
-        occ_ex = max(1, _ceil_div(info.alu_blocks, 2))
-        if record.mem_addr is not None:
-            occ_mem = max(1, info.mem_blocks)
+    def occupancies(self, sig):
+        occ_if = _compressed_fetch_cycles(self, sig)
+        occ_rd = max(1, _ceil_div(sig.max_src, 2))
+        occ_ex = max(1, _ceil_div(sig.alu_blocks, 2))
+        if sig.has_mem:
+            occ_mem = max(1, sig.mem_blocks)
         else:
-            occ_mem = max(1, _ceil_div(info.result_blocks, 2))
-        occ_wb = max(1, _ceil_div(info.result_blocks, 2))
+            occ_mem = max(1, _ceil_div(sig.result_blocks, 2))
+        occ_wb = max(1, _ceil_div(sig.result_blocks, 2))
         return (occ_if, occ_rd, occ_ex, occ_mem, occ_wb)
 
 
@@ -210,17 +211,17 @@ class ParallelCompressedOrg(Organization):
     streams_operands = True
     banked_fetch = True
 
-    def occupancies(self, record, info):
-        occ_if = _compressed_fetch_cycles(info)
-        if record.mem_addr is not None and not record.mem_is_store:
-            occ_mem = 1 + (1 if info.mem_blocks > 1 else 0)
+    def occupancies(self, sig):
+        occ_if = _compressed_fetch_cycles(self, sig)
+        if sig.has_mem and not sig.is_store:
+            occ_mem = 1 + (1 if sig.mem_blocks > 1 else 0)
         else:
             occ_mem = 1
         return (occ_if, 1, 1, occ_mem, 1)
 
-    def ex_latency(self, record, info):
+    def ex_latency(self, sig):
         # Upper operand bytes arrive one cycle behind the low byte.
-        return 1 if info.max_src_blocks > 1 else 0
+        return 1 if sig.max_src > 1 else 0
 
 
 class ParallelSkewedOrg(Organization):
@@ -243,28 +244,28 @@ class ParallelSkewedOrg(Organization):
     #: Fixed extra skew-latch stages every instruction traverses.
     skew_stages = 1
 
-    def occupancies(self, record, info):
-        occ_if = _compressed_fetch_cycles(info)
+    def occupancies(self, sig):
+        occ_if = _compressed_fetch_cycles(self, sig)
         return (occ_if, 1, 1, 1, 1)
 
-    def ex_latency(self, record, info):
-        if record.mem_addr is not None:
+    def ex_latency(self, sig):
+        if sig.has_mem:
             # Address lanes feed the byte-banked cache directly; the
             # skew cost of memory operations lives in address_plan.
             return 0
-        return self.skew_stages + max(0, max(1, info.alu_blocks) - 1)
+        return self.skew_stages + max(0, max(1, sig.alu_blocks) - 1)
 
-    def address_plan(self, record, info):
+    def address_plan(self, sig):
         # The low index bytes of the effective address emerge from the
         # first adder lane; the byte-banked data array and the skewed
         # tag comparison absorb the later address bytes, so the access
         # launches one cycle after EX entry.
         return ("ex_start", 1)
 
-    def resolution_plan(self, record, info):
-        if record.instr.opcode in (Opcode.J, Opcode.JAL):
+    def resolution_plan(self, sig):
+        if sig.instr.opcode in (Opcode.J, Opcode.JAL):
             return ("rd_end", 0)
-        return ("ex_start", self.skew_stages + max(1, info.max_src_blocks))
+        return ("ex_start", self.skew_stages + max(1, sig.max_src))
 
 
 class ParallelSkewedBypassOrg(ParallelSkewedOrg):

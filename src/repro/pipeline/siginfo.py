@@ -1,11 +1,23 @@
-"""Per-instruction significance summary consumed by the timing models.
+"""Significance signatures: the per-record facts the timing models read.
 
-:class:`SigInfo` carries the significance facts (fetch bytes,
-operand/result blocks, ALU occupancy) an organization reads to size its
-stages; :func:`alu_activity` runs the significance ALU for one record.
-The kernel builds one :class:`SigInfo` per significance signature; the
-kernel and the activity model both call :func:`alu_activity`.
+Every organization sizes its stages from a few significance facts about
+each executed instruction, the record's :class:`Signature`: its word,
+the widest source operand, the significance-ALU occupancy, the memory
+and result widths, and whether (and how) it touches memory.  Operand
+values repeat and a few static instructions dominate the dynamic
+stream, so a whole trace has only a few hundred distinct signatures
+under one scheme.
+
+:func:`significance_column` is the one pass that computes them: it maps
+a trace to an ``array`` of signature ids and returns the signature
+list, the per-id record histogram and the word-level static facts
+alongside.  Its value, ALU and word memos live only inside that pass.
+:func:`alu_activity` runs the significance ALU for one record; the pass
+and the activity model both call it.
 """
+
+from array import array
+from collections import Counter, namedtuple
 
 from repro.core.alu import (
     significance_add,
@@ -14,30 +26,147 @@ from repro.core.alu import (
     significance_shift,
 )
 from repro.core.extension import BYTE_SCHEME
+from repro.isa.encoding import decode
+
+#: Largest signature id an ``array('H')`` column holds; a trace with
+#: more signatures switches its column to ``array('I')``.
+_SHORT_IDS = 1 << 16
 
 
-class SigInfo:
-    """Significance facts about one executed instruction."""
-
-    __slots__ = (
-        "fetch_bytes",
-        "src_blocks",
-        "result_blocks",
-        "mem_blocks",
-        "alu_blocks",
-        "alu_result",
-        "max_src_blocks",
+class Signature(
+    namedtuple(
+        "Signature",
+        ("word", "max_src", "alu_blocks", "mem_blocks", "result_blocks",
+         "has_mem", "is_store"),
     )
+):
+    """The significance facts an organization's timing hooks may read.
 
-    def __init__(self, fetch_bytes, src_blocks, result_blocks, mem_blocks,
-                 alu_blocks, alu_result):
-        self.fetch_bytes = fetch_bytes
-        self.src_blocks = src_blocks
-        self.result_blocks = result_blocks
-        self.mem_blocks = mem_blocks
-        self.alu_blocks = alu_blocks
-        self.alu_result = alu_result
-        self.max_src_blocks = max(src_blocks) if src_blocks else 0
+    Widths are in blocks of the scheme the signature was computed under.
+    ``max_src`` is the widest source operand, ``alu_blocks`` the blocks
+    the significance ALU operates on (0 without an ALU operation),
+    ``mem_blocks`` the significant blocks of the memory value within the
+    access size (0 without an access) and ``result_blocks`` those of
+    the register result (0 without one).
+    """
+
+    __slots__ = ()
+
+    @property
+    def instr(self):
+        """The decoded instruction (the word determines it)."""
+        return decode(self.word)
+
+
+#: One trace under one scheme: ``ids`` holds a signature id per record,
+#: ``signatures[id]`` the :class:`Signature`, ``histogram[id]`` how many
+#: records carry it, and ``statics[word]`` the word-level facts
+#: ``(source registers, destination register, destination kind,
+#: is_control)``.  The destination kind is 0 (none), 1 (load result),
+#: 2 (forwardable ALU result) or 3 (link value, ``mfhi``/``mflo``).
+SignificanceColumn = namedtuple(
+    "SignificanceColumn", ("ids", "signatures", "histogram", "statics")
+)
+
+
+class _Memo(dict):
+    """``memo[key]`` computes ``function(key)`` once per distinct key."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+def _static_facts(record):
+    instr = record.instr
+    dest = instr.destination_register()
+    if dest is None:
+        dest_kind = 0
+    elif instr.is_load:
+        dest_kind = 1
+    elif record.alu_kind is not None:
+        dest_kind = 2
+    else:
+        dest_kind = 3
+    return instr.source_registers(), dest, dest_kind, instr.is_control
+
+
+def significance_column(records, scheme=BYTE_SCHEME):
+    """The :class:`SignificanceColumn` of ``records`` under ``scheme``."""
+    block_bytes = scheme.block_bits // 8
+    blocks_of = _Memo(scheme.significant_blocks)
+    alu_memo = {}
+    statics = {}
+    ids_of = {}
+    signatures = []
+    ids = array("H")
+    append = ids.append
+
+    for record in records:
+        word = record.instr.word
+        if word not in statics:
+            statics[word] = _static_facts(record)
+
+        max_src = 0
+        for value in record.read_values:
+            blocks = blocks_of[value]
+            if blocks > max_src:
+                max_src = blocks
+
+        write_value = record.write_value
+        result_blocks = 0 if write_value is None else blocks_of[write_value]
+
+        if record.mem_addr is None:
+            has_mem = False
+            mem_blocks = 0
+        else:
+            has_mem = True
+            mem_blocks = blocks_of[record.mem_value]
+            size_blocks = record.mem_size // block_bytes or 1
+            if size_blocks < mem_blocks:
+                mem_blocks = size_blocks
+
+        alu_kind = record.alu_kind
+        if alu_kind is None:
+            alu_blocks = 0
+        elif alu_kind == "lui":
+            alu_blocks = result_blocks if result_blocks > 1 else 1
+        elif alu_kind in ("mult", "div"):
+            alu_blocks = blocks_of[record.alu_a]
+            b_blocks = blocks_of[record.alu_b]
+            if b_blocks > alu_blocks:
+                alu_blocks = b_blocks
+        else:
+            alu_key = (alu_kind, record.alu_a, record.alu_b)
+            alu_blocks = alu_memo.get(alu_key)
+            if alu_blocks is None:
+                result = alu_activity(record, scheme)
+                alu_blocks = 0 if result is None else max(
+                    1, result.blocks_operated
+                )
+                alu_memo[alu_key] = alu_blocks
+
+        key = (word, max_src, alu_blocks, mem_blocks, result_blocks,
+               has_mem, record.mem_is_store)
+        sid = ids_of.get(key)
+        if sid is None:
+            sid = ids_of[key] = len(signatures)
+            signatures.append(Signature._make(key))
+            if sid == _SHORT_IDS:
+                ids = array("I", ids)
+                append = ids.append
+        append(sid)
+
+    histogram = [0] * len(signatures)
+    for sid, count in Counter(ids).items():
+        histogram[sid] = count
+    return SignificanceColumn(ids, signatures, histogram, statics)
 
 
 def alu_activity(record, scheme=BYTE_SCHEME):

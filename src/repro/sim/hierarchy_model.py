@@ -2,7 +2,11 @@
 
 Each dynamic instruction performs one instruction-side access (ITLB +
 L1I + possibly L2), and loads/stores add a data-side access, so the
-hierarchy is a per-record cost in every pipeline simulation.
+hierarchy is a per-record cost of every trace.  The access sequence is
+the same under every pipeline organization, so the kernel runs it once
+per trace, the memory-system pass
+(:class:`~repro.pipeline.kernel.TraceColumns`), and every simulation
+of the trace reads the resulting stall columns.
 :class:`MemoHierarchy` implements the paper's geometry
 (:class:`~repro.sim.hierarchy.HierarchyConfig`) with LRU / write-back /
 write-allocate semantics, shaped for that hot loop:
@@ -11,7 +15,7 @@ write-allocate semantics, shaped for that hot loop:
   and L2 line of each fetch are pure functions of the PC, so they are
   computed once per *static* instruction and memoized (traces revisit
   the same few hundred PCs thousands of times — the same regularity
-  the kernel's expansion memo exploits);
+  that gives a trace only a few hundred significance signatures);
 * **memoized (set-index, tag, state) transitions**: set contents are
   immutable tuples of tag/dirty words, and the LRU transition for
   ``(state, tag, is_write)`` — hit?, next state, evicted victim — is
@@ -23,13 +27,14 @@ write-allocate semantics, shaped for that hot loop:
   runs) are L1-resident MRU hits with no state change, so they fold
   into two counters and skip the structures entirely.
 
-The kernel consumes it through a narrow timing protocol:
+It implements a narrow timing protocol:
 
 * ``ifetch_stall(address) -> int`` — stall cycles of one fetch;
 * ``data_stall(address, is_store=False) -> int`` — stall cycles of one
   data access;
-* ``classify_block(records) -> [(ifetch_stall, data_stall), ...]`` —
-  the batch form: per-record stall latencies in record order;
+* ``classify_block(records) -> (ifetch stalls, data stalls)`` — the
+  memory-system pass: two ``array`` columns of per-record stall
+  cycles in record order;
 * ``stats() -> dict`` — the per-structure counter dictionaries that
   ride into :class:`~repro.pipeline.base.PipelineResult`.
 
@@ -46,8 +51,10 @@ suites in ``tests/test_hierarchies.py``, ``tests/test_kernels.py`` and
 to it, field for field.
 """
 
-from repro.obs import tracing
+from array import array
+
 from repro.sim.hierarchy import PAGE_BITS, PAPER_HIERARCHY
+
 
 class _MemoTLB:
     """Tag-tuple TLB with a shared ``(state, tag)`` transition memo.
@@ -418,29 +425,29 @@ class MemoHierarchy:
         return stall
 
     def classify_block(self, records):
-        """Batch API: ``[(ifetch_stall, data_stall), ...]`` per record.
+        """The memory-system pass: ``(fetch stalls, data stalls)``.
 
-        State evolves exactly as the per-record calls would evolve it
-        (instruction access first, then the data access when the record
-        has one), so a block-at-a-time consumer and a record-at-a-time
-        consumer observe identical hierarchies.
+        Two ``array('I')`` columns with one entry per record: the stall
+        of its instruction fetch, and that of its data access (0 for a
+        record without one).  State evolves exactly as the per-record
+        calls would evolve it (instruction access first, then the data
+        access when the record has one), so :meth:`stats` afterwards is
+        that of a record-at-a-time run.
         """
-        with tracing.span("hierarchy.classify_block", "compute") as handle:
-            ifetch_stall = self.ifetch_stall
-            data_stall = self.data_stall
-            latencies = []
-            append = latencies.append
-            for record in records:
-                istall = ifetch_stall(record.pc)
-                mem_addr = record.mem_addr
-                append((
-                    istall,
-                    data_stall(mem_addr, record.mem_is_store)
-                    if mem_addr is not None
-                    else 0,
-                ))
-            handle.note(records=len(latencies))
-            return latencies
+        ifetch_stall = self.ifetch_stall
+        data_stall = self.data_stall
+        istalls = array("I")
+        dstalls = array("I")
+        append_i = istalls.append
+        append_d = dstalls.append
+        for record in records:
+            append_i(ifetch_stall(record.pc))
+            mem_addr = record.mem_addr
+            append_d(
+                0 if mem_addr is None
+                else data_stall(mem_addr, record.mem_is_store)
+            )
+        return istalls, dstalls
 
     def stats(self):
         """Per-structure statistics, field-wise identical to reference."""

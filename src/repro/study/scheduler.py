@@ -62,9 +62,9 @@ from repro.analysis.tag_table import (
 from repro.core.compress import get_scheme
 from repro.core.extension import BYTE_SCHEME
 from repro.pipeline.activity import ActivityModel, ActivityReport
-from repro.pipeline.base import InOrderPipeline, PipelineResult
+from repro.pipeline.base import PipelineResult
+from repro.pipeline.kernel import default_kernel_name, get_kernel
 from repro.pipeline.organizations import get_organization
-from repro.pipeline.predictor import BimodalPredictor
 from repro.sim.tracefile import TraceCodecError
 from repro.study.session import TraceStore
 from repro.study.supervisor import SupervisedExecutor
@@ -168,19 +168,16 @@ class SimUnit(
         return "%s+%s" % (self.organization, self.variant)
 
     def compute(self, workload, traces):
-        """Simulate the organization over the trace; timed."""
-        records = traces.trace(workload, scale=self.scale)
-        predictor = (
-            BimodalPredictor() if self.variant == BIMODAL_VARIANT else None
-        )
-        pipeline = InOrderPipeline(
-            get_organization(self.organization), predictor=predictor
-        )
+        """Simulate the organization over the trace's shared columns; timed."""
+        columns = traces.columns(workload, scale=self.scale)
         with tracing.span(
             "pipeline.run:%s" % self.label(), "compute",
             organization=self.organization, workload=self.workload,
         ) as handle:
-            result = pipeline.run(records)
+            result = get_kernel(default_kernel_name()).run_columns(
+                columns, get_organization(self.organization),
+                predicted=self.variant == BIMODAL_VARIANT,
+            )
         return result, handle.seconds
 
     def unwrap(self, payload):

@@ -47,6 +47,7 @@ from collections import namedtuple
 
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, format_workload_scale
+from repro.pipeline.kernel import TraceColumns
 from repro.workloads import mediabench_suite
 
 
@@ -56,9 +57,12 @@ class TraceStore:
     The store keeps its own cache keyed by ``(workload.name, scale)`` and
     counts every miss in :attr:`materializations`, so a session can
     assert that no trace was produced twice no matter how many
-    experiments consumed it.  The broker's per-trace task calls
-    :meth:`release` when it finishes, so a record list lives exactly as
-    long as the task that needed it.
+    experiments consumed it.  Each held trace carries its
+    :class:`~repro.pipeline.kernel.TraceColumns` (:meth:`columns`), the
+    per-trace passes every simulation over it shares.  The broker's
+    per-trace task calls :meth:`release` when it finishes, so a record
+    list and its columns live exactly as long as the task that needed
+    them.
 
     With a persistent ``cache`` (a
     :class:`~repro.study.trace_cache.TraceCache`), lookups fall through
@@ -145,8 +149,16 @@ class TraceStore:
                     handle.note(records=len(records))
                 if self.cache is not None:
                     self.cache.store(workload, scale, records)
-            self._traces[key] = records
-        return self._traces[key]
+            self._traces[key] = TraceColumns(
+                records, label=format_workload_scale(key)
+            )
+        return self._traces[key].records
+
+    def columns(self, workload, scale=1):
+        """The shared :class:`~repro.pipeline.kernel.TraceColumns` of the
+        trace (resolved through :meth:`trace`)."""
+        self.trace(workload, scale=scale)
+        return self._traces[(workload.name, scale)]
 
     def stream(self, workload, scale=1):
         """A single-pass record iterator, preferring disk streaming.
@@ -164,9 +176,9 @@ class TraceStore:
         """
         key = (workload.name, scale)
         self._claim(workload)
-        records = self._traces.get(key)
-        if records is not None:
-            return iter(records)
+        held = self._traces.get(key)
+        if held is not None:
+            return iter(held.records)
         if self.cache is not None:
             stream = self.cache.stream(workload, scale=scale)
             if stream is not None:
@@ -184,7 +196,8 @@ class TraceStore:
         return list(self._traces)
 
     def release(self, workload, scale=1):
-        """Drop one in-memory record list, keeping every counter.
+        """Drop one in-memory record list and its columns, keeping every
+        counter.
 
         A later request re-resolves the trace (memory → disk →
         materialize) and is counted like any other.

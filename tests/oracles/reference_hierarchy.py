@@ -17,6 +17,8 @@ also implements the narrow timing protocol (``ifetch_stall`` /
 kernel can run over either hierarchy.
 """
 
+from array import array
+
 from repro.sim.hierarchy import PAGE_BITS, PAPER_HIERARCHY
 
 
@@ -219,26 +221,23 @@ class MemoryHierarchy:
         ).stall_cycles
 
     def classify_block(self, records):
-        """Batch API: ``[(ifetch_stall, data_stall), ...]`` per record.
+        """Batch API: ``(fetch stalls, data stalls)``, one entry per record.
 
         Records without a memory access report a data stall of 0 (and
         touch no data-side structure).  State evolves exactly as the
         equivalent per-record calls would evolve it.
         """
-        ifetch_stall = self.ifetch_stall
-        data_stall = self.data_stall
-        latencies = []
-        append = latencies.append
+        istalls = array("I")
+        dstalls = array("I")
         for record in records:
-            istall = ifetch_stall(record.pc)
-            mem_addr = record.mem_addr
-            append((
-                istall,
-                data_stall(mem_addr, record.mem_is_store)
-                if mem_addr is not None
-                else 0,
-            ))
-        return latencies
+            istalls.append(self.ifetch_stall(record.pc))
+            if record.mem_addr is None:
+                dstalls.append(0)
+            else:
+                dstalls.append(
+                    self.data_stall(record.mem_addr, record.mem_is_store)
+                )
+        return istalls, dstalls
 
     def _access(self, address, l1, tlb, is_store):
         stall = 0

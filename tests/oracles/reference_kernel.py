@@ -1,11 +1,13 @@
 """The reference pipeline kernel: the original fused per-record loop.
 
 The production kernel (:class:`repro.pipeline.kernel.TabularKernel`)
-expands the whole trace up front with memoization and replays a
-tightened recurrence over the expanded rows.  This oracle does the same
-work the obvious way: one :func:`compute_siginfo` per record, the
-organization's hooks called per record, and its timing plans evaluated
-inline.  The differential suites (``tests/test_kernels.py``,
+computes per-trace columns once (signature ids, memory-system stalls,
+prediction hits), maps each organization over the distinct signatures
+and replays a tightened recurrence over the columns.  This oracle does
+the same work the obvious way: one :func:`compute_siginfo` per record,
+the organization's hooks called per record on the signature built from
+it, the hierarchy and predictor consulted per record, and the timing
+plans evaluated inline.  The differential suites (``tests/test_kernels.py``,
 ``tests/test_hierarchies.py``) require field-wise equal
 :class:`~repro.pipeline.base.PipelineResult`\\ s from both.
 
@@ -18,13 +20,37 @@ together.
 from repro.core.extension import BYTE_SCHEME
 from repro.core.icompress import InstructionCompressor
 from repro.pipeline.base import PipelineResult
-from repro.pipeline.siginfo import SigInfo, alu_activity
+from repro.pipeline.siginfo import Signature, alu_activity
 
 _DEFAULT_COMPRESSOR = InstructionCompressor()
 
 
+class SigInfo:
+    """Significance facts about one executed instruction."""
+
+    __slots__ = (
+        "fetch_bytes",
+        "src_blocks",
+        "result_blocks",
+        "mem_blocks",
+        "alu_blocks",
+        "alu_result",
+        "max_src_blocks",
+    )
+
+    def __init__(self, fetch_bytes, src_blocks, result_blocks, mem_blocks,
+                 alu_blocks, alu_result):
+        self.fetch_bytes = fetch_bytes
+        self.src_blocks = src_blocks
+        self.result_blocks = result_blocks
+        self.mem_blocks = mem_blocks
+        self.alu_blocks = alu_blocks
+        self.alu_result = alu_result
+        self.max_src_blocks = max(src_blocks) if src_blocks else 0
+
+
 def compute_siginfo(record, scheme=BYTE_SCHEME, compressor=None):
-    """Build the :class:`~repro.pipeline.siginfo.SigInfo` for one record."""
+    """Build the :class:`SigInfo` for one record."""
     compressor = compressor or _DEFAULT_COMPRESSOR
     fetch_bytes = compressor.bytes_fetched(record.instr)
     src_blocks = tuple(
@@ -57,17 +83,30 @@ def compute_siginfo(record, scheme=BYTE_SCHEME, compressor=None):
                    alu_blocks, result)
 
 
-def _address_ready(org, record, info, ex_start, ex_end):
+def signature_of(record, info):
+    """The :class:`~repro.pipeline.siginfo.Signature` the hooks read."""
+    return Signature(
+        record.instr.word,
+        info.max_src_blocks,
+        info.alu_blocks,
+        info.mem_blocks,
+        info.result_blocks,
+        record.mem_addr is not None,
+        record.mem_is_store,
+    )
+
+
+def _address_ready(org, sig, ex_start, ex_end):
     """Cycle at which a memory access may index the D-cache."""
-    kind, offset = org.address_plan(record, info)
+    kind, offset = org.address_plan(sig)
     if kind == "ex_end":
         return ex_end
     return ex_start + offset
 
 
-def _resolution_time(org, record, info, rd_end, ex_start, ex_end):
+def _resolution_time(org, sig, rd_end, ex_start, ex_end):
     """Cycle at which a control instruction redirects fetch."""
-    kind, depth = org.resolution_plan(record, info)
+    kind, depth = org.resolution_plan(sig)
     if kind == "rd_end":
         return rd_end
     if kind == "ex_end":
@@ -101,7 +140,8 @@ def simulate(records, organization, hierarchy, predictor=None):
     for record in records:
         count += 1
         info = compute_siginfo(record, scheme=scheme, compressor=compressor)
-        occ_if, occ_rd, occ_ex, occ_mem, occ_wb = org.occupancies(record, info)
+        sig = signature_of(record, info)
+        occ_if, occ_rd, occ_ex, occ_mem, occ_wb = org.occupancies(sig)
         excess["if"] += occ_if - 1
         excess["rd"] += occ_rd - 1
         excess["ex"] += occ_ex - 1
@@ -161,7 +201,7 @@ def simulate(records, organization, hierarchy, predictor=None):
         # precede the arrival of the last instruction byte.  Byte lanes
         # align between producer and consumer, so per-byte chaining is
         # captured by the ready_first constraint alone.
-        ex_end = max(ex_busy_until + org.ex_latency(record, info), rd_end)
+        ex_end = max(ex_busy_until + org.ex_latency(sig), rd_end)
 
         # ---------------------------------------------------------- MEM
         # The stage is *busy* for its occupancy (plus any blocking miss);
@@ -176,7 +216,7 @@ def simulate(records, organization, hierarchy, predictor=None):
         if record.mem_addr is None:
             mem_start = max(arrival, free[3])
         else:
-            address_ready = _address_ready(org, record, info, ex_start, ex_end)
+            address_ready = _address_ready(org, sig, ex_start, ex_end)
             mem_start = max(arrival, address_ready, free[3])
         stalls["mem_struct"] += max(0, free[3] - arrival)
         free[3] = mem_start + occ_mem + dmiss
@@ -211,7 +251,7 @@ def simulate(records, organization, hierarchy, predictor=None):
                 pass  # correct prediction: fetch continues unhindered
             else:
                 redirect_time = _resolution_time(
-                    org, record, info, rd_end, ex_start, ex_end
+                    org, sig, rd_end, ex_start, ex_end
                 )
         last_end = wb_end
     return PipelineResult(

@@ -7,11 +7,9 @@ oracle must produce field-wise equal ``PipelineResult``s — stalls,
 stage_excess and the full per-structure hierarchy statistics (float hit
 rates included).  Around it: the narrow timing protocol
 (``ifetch_stall``/``data_stall``/``classify_block``) both implement,
-custom geometries, and the per-run state every pipeline builds.
-
-Tests named after the deleted hierarchy selection (registry, environment
-variable, set-default, ``--hierarchy``, unit keying, broker argument)
-now pin that each of those selection points is gone.
+the memory-system columns ``classify_block`` builds, custom
+geometries, the per-run state every pipeline builds, and the absence of
+any way to select another hierarchy.
 """
 
 import json
@@ -26,7 +24,11 @@ from repro.pipeline import (
     get_organization,
     simulate,
 )
-from repro.pipeline.kernel import default_kernel_name, get_kernel
+from repro.pipeline.kernel import (
+    TraceColumns,
+    default_kernel_name,
+    get_kernel,
+)
 from repro.sim import hierarchy_model
 from repro.sim.hierarchy import PAPER_HIERARCHY, HierarchyConfig
 from repro.sim.hierarchy_model import MemoHierarchy
@@ -129,29 +131,38 @@ class TestDifferentialEquivalence:
                 reference.hierarchy_stats[structure]
             ), structure
 
-    def test_classify_block_matches_reference(self, diff_traces):
-        records = diff_traces["synth_small"]
+    def test_memory_columns_match_reference(self, diff_traces):
+        # The memory-system pass of a trace's shared columns equals the
+        # oracle hierarchy consulted record by record.
+        records = diff_traces["rawcaudio"]
         reference = MemoryHierarchy()
-        memo = MemoHierarchy()
-        assert memo.classify_block(records) == reference.classify_block(
-            records
-        )
-        assert memo.stats() == reference.stats()
+        istalls, dstalls, stats = TraceColumns(records).memory()
+        assert len(istalls) == len(dstalls) == len(records)
+        for record, istall, dstall in zip(records, istalls, dstalls):
+            assert istall == reference.ifetch_stall(record.pc)
+            if record.mem_addr is None:
+                assert dstall == 0
+            else:
+                assert dstall == reference.data_stall(
+                    record.mem_addr, record.mem_is_store
+                )
+        assert stats == reference.stats()
 
     def test_classify_block_matches_per_record_calls(self, diff_traces):
         records = diff_traces["synth_small"]
         batched = MemoHierarchy()
         stepped = MemoHierarchy()
-        expected = []
+        istalls = []
+        dstalls = []
         for record in records:
-            istall = stepped.ifetch_stall(record.pc)
-            dstall = (
+            istalls.append(stepped.ifetch_stall(record.pc))
+            dstalls.append(
                 stepped.data_stall(record.mem_addr, record.mem_is_store)
                 if record.mem_addr is not None
                 else 0
             )
-            expected.append((istall, dstall))
-        assert batched.classify_block(records) == expected
+        columns = batched.classify_block(records)
+        assert [list(column) for column in columns] == [istalls, dstalls]
         assert batched.stats() == stepped.stats()
 
     def test_memo_respects_custom_configs(self, diff_traces):
@@ -167,14 +178,14 @@ class TestDifferentialEquivalence:
 # ------------------------------------------------------ the one hierarchy
 
 
-class TestHierarchyRegistry:
-    def test_builtin_hierarchies_registered(self):
+class TestOneHierarchy:
+    def test_hierarchy_model_has_no_registry(self):
         # No registry: the module holds the memo hierarchy and nothing
         # that names or selects a backend.
         for name in REGISTRY_NAMES:
             assert not hasattr(hierarchy_model, name), name
 
-    def test_get_hierarchy_unknown_name(self):
+    def test_hierarchy_cannot_be_named(self):
         # A hierarchy cannot be asked for by name anywhere.
         organization = get_organization("baseline32")
         with pytest.raises(TypeError):
@@ -187,20 +198,20 @@ class TestHierarchyRegistry:
         assert type(hierarchy) is MemoHierarchy
         assert hierarchy.config is PAPER_HIERARCHY
 
-    def test_env_variable_selects_default(self, monkeypatch):
+    def test_stale_hierarchy_env_is_inert(self, monkeypatch):
         # The old selection variable is inert.
         monkeypatch.setenv(STALE_HIERARCHY_ENV, "reference")
         hierarchy = InOrderPipeline(get_organization("baseline32")).hierarchy
         assert type(hierarchy) is MemoHierarchy
 
-    def test_unknown_env_hierarchy_raises(self, diff_traces, monkeypatch):
+    def test_bogus_stale_hierarchy_env_is_ignored(self, diff_traces, monkeypatch):
         records = diff_traces["synth_small"]
         organization = get_organization("baseline32")
         expected = _production(records, organization)
         monkeypatch.setenv(STALE_HIERARCHY_ENV, "mystery")
         assert _production(records, organization) == expected
 
-    def test_set_default_hierarchy_beats_env(self):
+    def test_src_names_no_hierarchy_selection(self):
         # No source file names a hierarchy-selection mechanism or the
         # per-hierarchy timing it used to report.
         for needle in (
@@ -209,25 +220,25 @@ class TestHierarchyRegistry:
         ):
             assert src_mentions(needle) == [], needle
 
-    def test_set_default_hierarchy_rejects_unknown(self):
+    def test_sim_package_exports_no_registry(self):
         for name in REGISTRY_NAMES:
             assert not hasattr(repro.sim, name), name
             assert name not in repro.sim.__all__, name
 
-    def test_resolve_hierarchy_accepts_instances(self):
+    def test_pipeline_passes_its_config_through(self):
         # The pipeline hands its config instance straight to the memo
         # hierarchy it builds.
         config = HierarchyConfig(l2_hit_cycles=9)
         hierarchy = InOrderPipeline(get_organization("baseline32"), config).hierarchy
         assert hierarchy.config is config
 
-    def test_register_hierarchy_rejects_duplicate_names(self):
+    def test_production_and_oracle_share_the_protocol(self):
         # Production and oracle share one protocol, not a registry.
         for name in TIMING_PROTOCOL:
             assert callable(getattr(MemoHierarchy, name)), name
             assert callable(getattr(MemoryHierarchy, name)), name
 
-    def test_models_create_fresh_state(self):
+    def test_pipelines_build_fresh_hierarchies(self):
         organization = get_organization("baseline32")
         one = InOrderPipeline(organization).hierarchy
         two = InOrderPipeline(organization).hierarchy
@@ -235,13 +246,13 @@ class TestHierarchyRegistry:
         one.ifetch_stall(0x00400000)
         assert two.stats()["l1i"]["accesses"] == 0
 
-    def test_reference_model_creates_memory_hierarchy(self):
+    def test_oracle_starts_from_the_same_state(self):
         # The oracle is built directly and starts from the same state.
         oracle = MemoryHierarchy(SMALL_HIERARCHY)
         assert not isinstance(oracle, MemoHierarchy)
         assert oracle.stats() == MemoHierarchy(SMALL_HIERARCHY).stats()
 
-    def test_memo_model_creates_memo_hierarchy(self):
+    def test_memo_hierarchy_keeps_its_config(self):
         assert MemoHierarchy(SMALL_HIERARCHY).config is SMALL_HIERARCHY
         assert MemoHierarchy().config is PAPER_HIERARCHY
 
@@ -258,25 +269,25 @@ class TestPipelineHierarchy:
 # -------------------------------------------------------- store identity
 
 
-class TestHierarchyKeying:
-    def test_simunit_defaults_to_process_hierarchy(self):
+class TestSimUnitNamesNoHierarchy:
+    def test_simunit_has_no_hierarchy_field(self):
         # A unit has no hierarchy field to default.
         assert "hierarchy" not in SimUnit._fields
         assert not hasattr(SimUnit("w", 1, "baseline32"), "hierarchy")
 
-    def test_simunit_rejects_unknown_hierarchy(self):
+    def test_simunit_rejects_hierarchy_argument(self):
         with pytest.raises(TypeError):
             SimUnit("w", 1, "baseline32", None, None, "mystery")
         with pytest.raises(TypeError):
             SimUnit("w", 1, "baseline32", hierarchy="memo")
 
-    def test_descriptor_carries_the_hierarchy(self, monkeypatch):
+    def test_descriptor_names_no_hierarchy(self, monkeypatch):
         descriptor = SimUnit("w", 1, "baseline32").descriptor()
         monkeypatch.setenv(STALE_HIERARCHY_ENV, "reference")
         assert SimUnit("w", 1, "baseline32").descriptor() == descriptor
         assert "hierarchy" not in descriptor
 
-    def test_store_entries_do_not_mix_hierarchies(self, tmp_path, monkeypatch):
+    def test_store_path_ignores_stale_hierarchy_env(self, tmp_path, monkeypatch):
         assert_store_ignores_env(
             tmp_path, monkeypatch, STALE_HIERARCHY_ENV, "reference"
         )
@@ -285,38 +296,38 @@ class TestHierarchyKeying:
 # ------------------------------------------------------------ CLI surface
 
 
-class TestHierarchyCli:
-    def test_list_enumerates_hierarchies(self, capsys):
+class TestHierarchyCliSurface:
+    def test_list_names_no_hierarchies(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "hierarchies:" not in out
         assert "memo (default)" not in out
 
-    def test_list_json_reports_hierarchies(self, capsys):
+    def test_list_json_has_no_hierarchy_keys(self, capsys):
         assert main(["list", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "hierarchies" not in payload
         assert "default_hierarchy" not in payload
 
-    def test_unknown_hierarchy_flag_exits_2(self, capsys):
+    def test_hierarchy_flag_is_unrecognized(self, capsys):
         # No option selects a hierarchy: argparse rejects --hierarchy.
         with pytest.raises(SystemExit) as excinfo:
             main(["fig4", "--hierarchy", "memo"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --hierarchy" in capsys.readouterr().err
 
-    def test_unknown_env_hierarchy_exits_2(self, capsys, monkeypatch):
+    def test_stale_hierarchy_env_does_not_fail_startup(self, capsys, monkeypatch):
         # Startup no longer validates the old selection variable.
         monkeypatch.setenv(STALE_HIERARCHY_ENV, "mystery")
         assert main(["fig4", "--workloads", "synth_small"]) == 0
         assert STALE_HIERARCHY_ENV not in capsys.readouterr().err
 
-    def test_hierarchy_flag_output_is_byte_identical(self, monkeypatch):
+    def test_stale_hierarchy_env_leaves_output_identical(self, monkeypatch):
         default_out = fig4_output()
         monkeypatch.setenv(STALE_HIERARCHY_ENV, "reference")
         assert fig4_output() == default_out
 
-    def test_json_reports_hierarchy_and_seconds(self, capsys):
+    def test_json_reports_no_hierarchy_seconds(self, capsys):
         args = ["fig4", "--workloads", "synth_small", "--format", "json"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -325,7 +336,7 @@ class TestHierarchyCli:
         # Simulation time is reported once, in sim_timings.
         assert payload["sim_timings"]["seconds"] > 0
 
-    def test_jobs_run_still_reports_hierarchy_seconds(self, capsys):
+    def test_jobs_run_reports_no_hierarchy_seconds(self, capsys):
         # Forked unit workers report no per-hierarchy seconds either.
         args = [
             "fig4", "--workloads", "synth_small", "--jobs", "2",
@@ -336,7 +347,7 @@ class TestHierarchyCli:
         assert "hierarchy_seconds" not in payload
         assert payload["sim_timings"]["units"] == 3
 
-    def test_session_hierarchy_conflicts_with_prebuilt_broker(self):
+    def test_broker_and_session_take_no_hierarchy(self):
         store = TraceStore()
         with pytest.raises(TypeError):
             ResultBroker(store, hierarchy="memo")

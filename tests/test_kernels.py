@@ -7,21 +7,20 @@ hierarchy — must produce ``PipelineResult``s field-wise equal to both
 oracles together: the reference kernel (``tests/oracles``) running over
 the reference ``MemoryHierarchy``.  That covers predictor runs for every
 organization, ``stage_excess``, the hierarchy statistics and a
-non-paper hierarchy geometry.  Around it: the one-kernel lookup, the
-simulation unit's store identity, the hardened
-``PipelineResult.from_dict`` payload validation, the ``repro list``
-enumeration and the report's ``sim_timings``.
-
-Tests named after the deleted backend selection (registry, environment
-variable, set-default, ``--kernel``, unit keying, broker argument) now
-pin that each of those selection points is gone: nothing in production
-can reach the oracle or choose another kernel.
+non-paper hierarchy geometry, on suite workloads and on generated
+MiniC programs.  Around it: the per-trace columns every simulation of
+a trace shares (built once per trace task, released with it), the
+one-kernel lookup with no way to select another, the simulation unit's
+store identity, the hardened ``PipelineResult.from_dict`` payload
+validation, the ``repro list`` enumeration and the report's
+``sim_timings``.
 """
 
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, seed, settings
 
 import repro.pipeline
 from repro.cli import main
@@ -36,13 +35,17 @@ from repro.pipeline import kernel as kernel_module
 from repro.pipeline.base import RESULT_SCHEMA_VERSION
 from repro.pipeline.kernel import (
     TABULAR_KERNEL,
-    ExpandedTrace,
     TabularKernel,
+    TraceColumns,
     default_kernel_name,
     get_kernel,
 )
+from repro.minic import compile_program
+from repro.obs import tracing
 from repro.pipeline.organizations import ByteSerialOrg, Organization
 from repro.pipeline.predictor import BimodalPredictor
+from repro.pipeline.siginfo import significance_column
+from repro.sim import Interpreter, load_program
 from repro.sim.hierarchy import CacheConfig, HierarchyConfig
 from repro.sim.hierarchy_model import MemoHierarchy
 from repro.study.result_store import ResultStore
@@ -53,6 +56,7 @@ from repro.workloads.base import Workload
 
 from oracles import reference_kernel
 from oracles.reference_hierarchy import MemoryHierarchy
+from test_minic_properties import expr_trees
 
 ORGANIZATION_NAMES = tuple(org.name for org in ALL_ORGANIZATIONS)
 
@@ -78,6 +82,29 @@ SMALL_HIERARCHY = HierarchyConfig(
     dtlb_entries=4,
     dtlb_assoc=2,
 )
+
+
+#: A loop over generated expression trees: a data-dependent branch the
+#: predictor has to learn, a multiply, and two arrays that conflict in
+#: the direct-mapped L1D so misses and write-backs recur.
+MINIC_LOOP = """
+int small[64];
+int big[4096];
+int main() {
+    int acc = %s;
+    for (int i = 0; i < 24; i += 1) {
+        small[(i * 5) & 63] = acc;
+        big[(i * 520) & 4095] = acc ^ i;
+        if ((acc & 3) == 1) {
+            acc = acc - (%s);
+        } else {
+            acc = (acc + small[(i * 3) & 63] * 7) ^ (big[(i * 8) & 4095] >> 2);
+        }
+    }
+    print_int(acc);
+    return 0;
+}
+"""
 
 
 def src_mentions(needle):
@@ -117,6 +144,14 @@ def fig4_output(args=()):
     with contextlib.redirect_stdout(out):
         assert main(["fig4", "--workloads", "synth_small", *args]) == 0
     return out.getvalue()
+
+
+def trace_minic(source):
+    """The trace of one compiled MiniC program."""
+    memory, machine = load_program(compile_program(source))
+    interpreter = Interpreter(memory, machine, trace=True)
+    interpreter.run(200_000)
+    return interpreter.trace_records
 
 
 @pytest.fixture(scope="module")
@@ -193,13 +228,33 @@ class TestDifferentialEquivalence:
         assert production.stage_excess == oracle.stage_excess
         assert production.bottleneck() == oracle.bottleneck()
 
+    @seed(20001)
+    @settings(max_examples=4, deadline=None)
+    @given(expr_trees(depth=3), expr_trees(depth=3))
+    def test_generated_minic_equals_reference(self, start, step):
+        # Every organization, with and without the predictor, over one
+        # set of shared columns per hierarchy geometry -- the way a
+        # trace task's simulations share them.
+        records = trace_minic(MINIC_LOOP % (start[0], step[0]))
+        kernel = get_kernel(TABULAR_KERNEL)
+        for config in (None, SMALL_HIERARCHY):
+            columns = TraceColumns(records, MemoHierarchy(config))
+            for organization in ALL_ORGANIZATIONS:
+                for predictor in (None, BimodalPredictor()):
+                    production = kernel.run_columns(
+                        columns, organization, predictor is not None
+                    )
+                    assert production == _oracle(
+                        records, organization, predictor, config
+                    )
+
     def test_simulate_accepts_organization_names(self, diff_traces):
         records = diff_traces["synth_small"]
         assert simulate("baseline32", records) == simulate(
             get_organization("baseline32"), records
         )
 
-    def test_simulate_accepts_kernel_names(self, diff_traces):
+    def test_simulate_takes_no_kernel_argument(self, diff_traces):
         # simulate() runs the kernel its name looks up, over a fresh
         # MemoHierarchy; it takes no kernel argument of its own.
         records = diff_traces["synth_small"]
@@ -211,11 +266,111 @@ class TestDifferentialEquivalence:
             simulate(organization, records, kernel=TABULAR_KERNEL)
 
 
+# ------------------------------------------------------ per-trace columns
+
+
+class TestTraceColumns:
+    def test_expand_then_simulate_equals_oracle(self, diff_traces):
+        # The table has one row per distinct signature, is built once per
+        # organization, and expand + simulate is exactly the oracle run.
+        records = diff_traces["synth_small"]
+        organization = get_organization("byte_serial")
+        kernel = get_kernel(TABULAR_KERNEL)
+        columns = TraceColumns(records)
+        table = kernel.expand(columns, organization)
+        column = columns.significance(organization.scheme)
+        assert len(columns) == len(records)
+        assert len(table.rows) == len(column.signatures) < len(records)
+        assert table.organization is organization
+        assert kernel.expand(columns, organization) is table
+        oracle = _oracle(records, organization)
+        assert kernel.simulate(table, columns) == oracle
+        assert table.stage_excess == oracle.stage_excess
+
+    def test_significance_column_matches_oracle_signatures(self, diff_traces):
+        records = diff_traces["synth_small"]
+        for name in ("baseline32", "byte_serial", "halfword_serial"):
+            scheme = get_organization(name).scheme
+            column = significance_column(records, scheme)
+            assert len(column.ids) == len(records)
+            assert sum(column.histogram) == len(records)
+            assert len(set(column.signatures)) == len(column.signatures)
+            for sid, record in zip(column.ids, records):
+                info = reference_kernel.compute_siginfo(record, scheme=scheme)
+                expected = reference_kernel.signature_of(record, info)
+                assert column.signatures[sid] == expected
+                assert column.signatures[sid].instr == record.instr
+
+    def test_prediction_column_matches_per_record_predictor(self, diff_traces):
+        records = diff_traces["synth_small"]
+        hits, accuracy = TraceColumns(records).prediction()
+        predictor = BimodalPredictor()
+        expected = [
+            1 if record.instr.is_control and predictor.predict(record) else 0
+            for record in records
+        ]
+        assert list(hits) == expected
+        assert accuracy == predictor.accuracy
+
+
+class TestSharedColumns:
+    BIMODAL = ("baseline32", "byte_serial", "parallel_skewed_bypass")
+
+    def test_trace_task_runs_each_pass_once(self):
+        workload = get_workload("synth_small")
+        units = [
+            SimUnit(workload.name, 1, name) for name in ORGANIZATION_NAMES
+        ] + [
+            SimUnit(workload.name, 1, name, BIMODAL_VARIANT)
+            for name in self.BIMODAL
+        ]
+        store = TraceStore()
+        broker = ResultBroker(store)
+        previous = tracing.current_tracer()
+        tracer = tracing.start_trace()
+        try:
+            assert broker.run_units(units, {workload.name: workload}) == 10
+        finally:
+            tracing.set_tracer(previous)
+        passes = [
+            event for event in tracer.events_since(0)
+            if event["name"].startswith("columns.")
+        ]
+        assert sorted(
+            (event["name"], event["args"].get("scheme")) for event in passes
+        ) == [
+            ("columns.memory", None),
+            ("columns.prediction", None),
+            ("columns.significance", "block16"),
+            ("columns.significance", "block32"),
+            ("columns.significance", "byte3"),
+        ]
+        records = workload.trace()
+        for event in passes:
+            assert event["cat"] == "compute"
+            assert event["args"]["trace"] == "synth_small@1"
+            assert event["args"]["records"] == len(records)
+        sims = [
+            event for event in tracer.events_since(0)
+            if event["name"] == "kernel.simulate"
+        ]
+        assert len(sims) == 10
+        for unit in units:
+            predictor = BimodalPredictor() if unit.variant else None
+            fresh = InOrderPipeline(
+                get_organization(unit.organization), predictor=predictor
+            ).run(records)
+            assert broker.pipeline_result(
+                workload, unit.organization, variant=unit.variant
+            ) == fresh
+        assert len(store) == 0
+
+
 # ------------------------------------------------------------------ lookup
 
 
-class TestKernelRegistry:
-    def test_builtin_kernels_registered(self):
+class TestOneKernel:
+    def test_only_tabular_kernel_is_reachable(self):
         # One kernel; the oracle is not reachable from production.
         assert isinstance(get_kernel(TABULAR_KERNEL), TabularKernel)
         with pytest.raises(KeyError):
@@ -229,20 +384,20 @@ class TestKernelRegistry:
         assert default_kernel_name() == TABULAR_KERNEL
         assert get_kernel(TABULAR_KERNEL).name == TABULAR_KERNEL
 
-    def test_env_variable_selects_default(self, monkeypatch):
+    def test_stale_kernel_env_is_inert(self, monkeypatch):
         # The old selection variable is inert.
         monkeypatch.setenv(STALE_KERNEL_ENV, "reference")
         assert default_kernel_name() == TABULAR_KERNEL
         assert isinstance(get_kernel(default_kernel_name()), TabularKernel)
 
-    def test_unknown_env_kernel_raises(self, diff_traces, monkeypatch):
+    def test_bogus_stale_kernel_env_is_ignored(self, diff_traces, monkeypatch):
         # A bogus value is not validated either: nothing reads it.
         records = diff_traces["synth_small"]
         expected = simulate("baseline32", records)
         monkeypatch.setenv(STALE_KERNEL_ENV, "systolic")
         assert simulate("baseline32", records) == expected
 
-    def test_set_default_kernel_beats_env(self):
+    def test_src_names_no_kernel_selection(self):
         # No source file names a kernel-selection mechanism.
         for needle in (
             STALE_KERNEL_ENV, "register_kernel", "set_default_",
@@ -250,7 +405,7 @@ class TestKernelRegistry:
         ):
             assert src_mentions(needle) == [], needle
 
-    def test_set_default_kernel_rejects_unknown(self):
+    def test_kernel_module_has_no_selection_api(self):
         for name in (
             "ENV_KERNEL", "REFERENCE_KERNEL", "PipelineKernel",
             "register_kernel", "kernel_names", "set_default_kernel",
@@ -258,14 +413,14 @@ class TestKernelRegistry:
         ):
             assert not hasattr(kernel_module, name), name
 
-    def test_resolve_kernel_accepts_instances(self):
+    def test_kernel_is_one_shared_instance(self):
         # The one kernel is a shared, stateless instance.
         kernel = get_kernel(TABULAR_KERNEL)
         assert get_kernel(default_kernel_name()) is kernel
         assert not hasattr(InOrderPipeline(get_organization("baseline32")),
                            "kernel")
 
-    def test_register_kernel_rejects_duplicate_names(self):
+    def test_pipeline_package_exports_no_selection_api(self):
         for name in (
             "register_kernel", "kernel_names", "set_default_kernel",
             "resolve_kernel", "REFERENCE_KERNEL",
@@ -273,20 +428,7 @@ class TestKernelRegistry:
             assert not hasattr(repro.pipeline, name), name
             assert name not in repro.pipeline.__all__, name
 
-    def test_tabular_rejects_foreign_expansion(self, diff_traces):
-        # Every expansion carries its row table (there is no pass-through
-        # expansion left), and expand + simulate is exactly run.
-        records = diff_traces["synth_small"]
-        organization = get_organization("byte_serial")
-        kernel = get_kernel(TABULAR_KERNEL)
-        expanded = kernel.expand(records, organization)
-        assert len(expanded.rows) == len(records)
-        assert expanded.organization is organization
-        assert kernel.simulate(expanded, MemoHierarchy()) == (
-            _production(records, organization)
-        )
-
-    def test_tabular_rejects_imperative_timing_overrides(self, diff_traces):
+    def test_timing_plans_are_the_only_timing_api(self, diff_traces):
         # Timing plans are the only timing API: the imperative hooks are
         # gone, and an overridden plan reaches kernel and oracle alike.
         for hook in ("address_ready", "resolution_time"):
@@ -295,7 +437,7 @@ class TestKernelRegistry:
         class DecodeResolvedOrg(ByteSerialOrg):
             name = "decode_resolved"
 
-            def resolution_plan(self, record, info):
+            def resolution_plan(self, sig):
                 return ("rd_end", 0)
 
         records = diff_traces["synth_small"]
@@ -306,33 +448,25 @@ class TestKernelRegistry:
             records, get_organization("byte_serial")
         ).stalls["branch"]
 
-    def test_expanded_trace_repr(self, diff_traces):
-        records = diff_traces["synth_small"]
-        organization = get_organization("baseline32")
-        expanded = get_kernel(TABULAR_KERNEL).expand(records, organization)
-        assert isinstance(expanded, ExpandedTrace)
-        assert expanded.count == len(records)
-        assert "baseline32" in repr(expanded)
-
 
 # ------------------------------------------------------- simulation units
 
 
-class TestKernelKeying:
-    def test_simunit_defaults_to_process_kernel(self):
+class TestSimUnitNamesNoKernel:
+    def test_simunit_has_no_kernel_field(self):
         # A unit has no kernel field to default.
         assert SimUnit._fields == (
             "workload", "scale", "organization", "variant",
         )
         assert SimUnit("w", 1, "baseline32").variant is None
 
-    def test_simunit_rejects_unknown_kernel(self):
+    def test_simunit_rejects_kernel_argument(self):
         with pytest.raises(TypeError):
             SimUnit("w", 1, "baseline32", None, "systolic")
         with pytest.raises(TypeError):
             SimUnit("w", 1, "baseline32", kernel=TABULAR_KERNEL)
 
-    def test_descriptor_carries_the_kernel(self, monkeypatch):
+    def test_descriptor_names_no_kernel(self, monkeypatch):
         # The store identity no longer names a kernel, so the stale
         # environment variable cannot change it.
         descriptor = SimUnit("w", 1, "baseline32").descriptor()
@@ -340,7 +474,7 @@ class TestKernelKeying:
         assert SimUnit("w", 1, "baseline32").descriptor() == descriptor
         assert "kernel" not in descriptor
 
-    def test_store_entries_do_not_mix_kernels(self, tmp_path, monkeypatch):
+    def test_store_path_ignores_stale_kernel_env(self, tmp_path, monkeypatch):
         assert_store_ignores_env(
             tmp_path, monkeypatch, STALE_KERNEL_ENV, "reference"
         )
@@ -392,7 +526,7 @@ class TestResultPayloadValidation:
 # ------------------------------------------------------------ CLI surface
 
 
-class TestKernelCli:
+class TestCliSurface:
     def test_list_enumerates_everything(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -413,31 +547,31 @@ class TestKernelCli:
             "experiments", "organizations", "schemes", "workloads",
         }
 
-    def test_unknown_kernel_flag_exits_2(self, capsys):
+    def test_kernel_flag_is_unrecognized(self, capsys):
         # No option selects a kernel: argparse rejects --kernel.
         with pytest.raises(SystemExit) as excinfo:
             main(["fig4", "--kernel", "tabular"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
-    def test_unknown_env_kernel_exits_2(self, capsys, monkeypatch):
+    def test_stale_kernel_env_does_not_fail_startup(self, capsys, monkeypatch):
         # Startup no longer validates the old selection variable.
         monkeypatch.setenv(STALE_KERNEL_ENV, "systolic")
         assert main(["fig4", "--workloads", "synth_small"]) == 0
         assert STALE_KERNEL_ENV not in capsys.readouterr().err
 
-    def test_kernel_flag_output_is_byte_identical(self, monkeypatch):
+    def test_stale_kernel_env_leaves_output_identical(self, monkeypatch):
         default_out = fig4_output()
         monkeypatch.setenv(STALE_KERNEL_ENV, "reference")
         assert fig4_output() == default_out
 
-    def test_kernel_flag_is_session_scoped(self):
+    def test_session_takes_no_kernel(self):
         # Sessions carry no kernel at all.
         assert not hasattr(ExperimentSession(workloads=[]), "kernel")
         with pytest.raises(TypeError):
             ExperimentSession(workloads=[], kernel=TABULAR_KERNEL)
 
-    def test_session_kernel_conflicts_with_prebuilt_broker(self):
+    def test_broker_takes_no_kernel_and_session_adopts_it(self):
         store = TraceStore()
         with pytest.raises(TypeError):
             ResultBroker(store, kernel=TABULAR_KERNEL)
@@ -471,7 +605,7 @@ class TestKernelCli:
         assert timing["seconds"] > 0
         assert timing["instructions_per_second"] > 0
 
-    def test_json_reports_kernel_and_timings(self, capsys):
+    def test_json_reports_no_kernel(self, capsys):
         args = ["fig4", "--workloads", "synth_small", "--format", "json"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.core.icompress import FetchStatistics
 from repro.pipeline.activity import ActivityModel, ActivityReport
 from repro.pipeline.base import InOrderPipeline, PipelineResult
+from repro.pipeline.kernel import TabularKernel
 from repro.pipeline.organizations import ALL_ORGANIZATIONS
 from repro.study import result_store as result_store_module
 from repro.study.result_store import ResultStore
@@ -270,15 +271,16 @@ class TestBrokerDedupe:
         # of one serial session — fig4/fig6 share baseline32 and
         # byte_serial with the bottleneck analysis, the energy estimate
         # and the predictor ablation — each (workload, organization)
-        # pair reaches the raw engine at most once.
+        # pair reaches the raw engine (one kernel simulation over the
+        # trace's shared columns) at most once.
         calls = []
-        original = InOrderPipeline.run
+        original = TabularKernel.simulate
 
-        def counting_run(self, records):
-            calls.append((self.organization.name, self.predictor is not None))
-            return original(self, records)
+        def counting_simulate(self, table, columns, predicted=False):
+            calls.append((table.organization.name, predicted))
+            return original(self, table, columns, predicted)
 
-        monkeypatch.setattr(InOrderPipeline, "run", counting_run)
+        monkeypatch.setattr(TabularKernel, "simulate", counting_simulate)
         session = ExperimentSession(workloads=[synth])
         results = session.run(
             ["fig4", "fig6", "bottleneck", "energy", "future-branch-prediction"]

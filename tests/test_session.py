@@ -1,9 +1,12 @@
 """Tests for the cached experiment engine (study.session)."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from repro.pipeline.kernel import TraceColumns
 from repro.study import (
     EXPERIMENTS,
     ExperimentSession,
@@ -195,7 +198,9 @@ class TestTraceTasks:
 
     def test_serial_batch_holds_at_most_one_trace(self, monkeypatch):
         held = []
+        built = []
         original = TraceStore.trace
+        original_columns = TraceColumns.__init__
 
         def trace(store, workload, scale=1):
             held.append(len(store))
@@ -203,7 +208,12 @@ class TestTraceTasks:
             held.append(len(store))
             return records
 
+        def columns(self, *args, **kwargs):
+            original_columns(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
         monkeypatch.setattr(TraceStore, "trace", trace)
+        monkeypatch.setattr(TraceColumns, "__init__", columns)
         session = ExperimentSession(workloads=FAST)
         by_name = {workload.name: workload for workload in FAST}
         computed = session.results.run_units(
@@ -212,6 +222,10 @@ class TestTraceTasks:
         assert computed > 0
         assert held and max(held) <= 1, held
         assert len(session.store) == 0
+        # Every trace's columns were built, and none outlived its task.
+        assert len(built) == len(FAST)
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(built)
 
     def test_parallel_run_hands_one_task_per_trace(self, monkeypatch):
         from repro.study.supervisor import SupervisedExecutor

@@ -528,7 +528,6 @@ INSTRUMENTED_MODULES = (
     "src/repro/cli.py",
     "src/repro/pipeline/activity.py",
     "src/repro/pipeline/kernel.py",
-    "src/repro/sim/hierarchy_model.py",
     "src/repro/sim/tracefile.py",
     "src/repro/study/result_store.py",
     "src/repro/study/scheduler.py",

@@ -84,6 +84,9 @@ class _Memo(dict):
 
 
 def _static_facts(record):
+    # Whether a record has an ALU operation is a property of its opcode
+    # (the interpreter sets ``alu_kind`` per opcode), so the destination
+    # kind is a word-level fact like the registers.
     instr = record.instr
     dest = instr.destination_register()
     if dest is None:

@@ -44,8 +44,11 @@ from repro.minic import compile_program
 from repro.obs import tracing
 from repro.pipeline.organizations import ByteSerialOrg, Organization
 from repro.pipeline.predictor import BimodalPredictor
+from repro.isa.encoding import decode, i_type
+from repro.isa.opcodes import Opcode
+from repro.pipeline.siginfo import _SHORT_IDS as SHORT_IDS
 from repro.pipeline.siginfo import significance_column
-from repro.sim import Interpreter, load_program
+from repro.sim import Interpreter, TraceRecord, load_program
 from repro.sim.hierarchy import CacheConfig, HierarchyConfig
 from repro.sim.hierarchy_model import MemoHierarchy
 from repro.study.result_store import ResultStore
@@ -229,7 +232,7 @@ class TestDifferentialEquivalence:
         assert production.bottleneck() == oracle.bottleneck()
 
     @seed(20001)
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=3, deadline=None)
     @given(expr_trees(depth=3), expr_trees(depth=3))
     def test_generated_minic_equals_reference(self, start, step):
         # Every organization, with and without the predictor, over one
@@ -300,6 +303,27 @@ class TestTraceColumns:
                 expected = reference_kernel.signature_of(record, info)
                 assert column.signatures[sid] == expected
                 assert column.signatures[sid].instr == record.instr
+
+    def test_column_widens_past_short_signature_ids(self):
+        # One distinct addiu word per record: more signatures than an
+        # array('H') can number, so the column switches to array('I')
+        # and keeps every id it already assigned.
+        records = []
+        for index in range(SHORT_IDS + 8):
+            imm = index & 0x7FFF
+            word = i_type(Opcode.ADDIU, rt=8 + (index >> 15), imm=imm)
+            record = TraceRecord(0x00400000 + 4 * index, decode(word))
+            record.read_values = (0,)
+            record.write_value = imm
+            record.alu_kind = "add"
+            record.alu_b = imm
+            records.append(record)
+        column = significance_column(records)
+        assert column.ids.typecode == "I"
+        assert len(column.signatures) == len(records)
+        assert [column.signatures[sid].word for sid in column.ids] == [
+            record.instr.word for record in records
+        ]
 
     def test_prediction_column_matches_per_record_predictor(self, diff_traces):
         records = diff_traces["synth_small"]

@@ -18,12 +18,18 @@ pc             PC-increment block activity (increments and redirects)
 latches        inter-stage latch bits (instruction, operands, results)
 =============  ==========================================================
 
-Line fills, counted on the memoized L1D structure, are charged at the
-line size scaled by the running compression ratio of accessed data
-words (the trace does not expose whole-line contents; see
-docs/ARCHITECTURE.md, "Activity accounting").  One pass memoizes the
-per-record work per operand value, ALU operation and instruction word;
-the original unmemoized loop is the test oracle in
+The counts come from the trace's significance column
+(:func:`~repro.pipeline.siginfo.significance_column`, which the
+kernel's simulations of the trace share), so the model does no
+per-value or ALU work of its own: fetch, register-file, ALU and latch
+bits are sums over the signature histogram, and one sequential pass
+over the records adds what depends on the address or the record
+order — the data bits with the line fills they scale, the tag compare
+and the block-serial PC.  Line fills, counted on the memoized L1D
+structure, are charged at the line size scaled by the running
+compression ratio of accessed data words (the trace does not expose
+whole-line contents; see docs/ARCHITECTURE.md, "Activity
+accounting").  The original per-record loop is the test oracle in
 ``tests/oracles/reference_activity.py``.
 """
 
@@ -31,7 +37,7 @@ from repro.core.extension import BYTE_SCHEME
 from repro.core.icompress import InstructionCompressor
 from repro.core.pc import BlockSerialPC
 from repro.obs import tracing
-from repro.pipeline.siginfo import alu_activity
+from repro.pipeline.kernel import TraceColumns
 from repro.sim.hierarchy import PAPER_HIERARCHY
 from repro.sim.hierarchy_model import memo_cache
 
@@ -156,21 +162,73 @@ class ActivityModel:
         """
         return (self.scheme.name, bool(self.ext_bits_in_memory))
 
-    def process(self, records, name="trace"):
-        """Count baseline and compressed activity over ``records``."""
+    def process(self, trace, name="trace"):
+        """Count baseline and compressed activity over ``trace``.
+
+        ``trace`` is the trace's :class:`~repro.pipeline.kernel.TraceColumns`,
+        whose significance column under this model's scheme the kernel's
+        simulations of the trace share, or a record sequence, counted
+        over private columns.
+        """
+        columns = trace if isinstance(trace, TraceColumns) else TraceColumns(trace)
         with tracing.span(
             "activity.process", "compute", scheme=self.scheme.name
         ) as handle:
-            report = self._count(records, name)
+            report = self._count(columns, name)
             handle.note(records=report.instructions)
             return report
 
-    def _count(self, records, name):
+    def _count(self, columns, name):
         scheme = self.scheme
         block_bits = scheme.block_bits
         ext_bits = scheme.num_ext_bits
-        sig_blocks = scheme.significant_blocks
+        column = columns.significance(scheme)
         compressor = InstructionCompressor()
+
+        # Each count here is a per-signature fact times the signature's
+        # weight, the number of records carrying it.
+        count = len(columns)
+        reads = fetch = rf_read = 0
+        results = writes = rf_write = 0
+        alu_ops = alu = 0
+        latches = 0
+        # Per signature id: the data bits of its memory access (0 without
+        # one), which the sequential pass sums in trace order.
+        data_bits_of = []
+        for sig, weight in zip(column.signatures, column.histogram):
+            sources, dest = column.statics[sig.word][:2]
+            instr = sig.instr
+            fetch_bits = compressor.fetch_bits(instr)
+            fetch += weight * fetch_bits
+
+            read_bits = sig.read_blocks * block_bits + len(sources) * ext_bits
+            reads += weight * len(sources)
+            rf_read += weight * read_bits
+
+            result_bits = 0
+            if sig.result_blocks:
+                result_bits = sig.result_blocks * block_bits + ext_bits
+                results += weight
+                if dest is not None:
+                    writes += weight
+                    rf_write += weight * result_bits
+
+            if sig.alu_operated >= 0:
+                alu_ops += weight
+                alu += weight * sig.alu_operated * block_bits
+
+            data_bits = 0
+            if sig.has_mem:
+                data_bits = min(
+                    sig.mem_blocks * block_bits, 8 * instr.memory_size
+                ) + ext_bits
+            data_bits_of.append(data_bits)
+
+            latches += weight * (fetch_bits + read_bits + result_bits + data_bits)
+
+        # One sequential pass for what depends on the address or on the
+        # record order: the tag compare, the L1D line fills with their
+        # running compression ratio, and the block-serial PC.
         pc_model = BlockSerialPC(block_bits=block_bits)
         increment = pc_model.increment
         redirect = pc_model.redirect
@@ -190,123 +248,11 @@ class ActivityModel:
         fill_ext_bits = words_per_line * ext_bits
         ext_bits_in_memory = self.ext_bits_in_memory
 
-        # Per-pass memos (nothing outlives this call): significant data
-        # bits per value, compressed ALU bits per (kind, a, b) — -1 when
-        # the operation has no ALU activity — and (fetch bits, has a
-        # destination) per instruction word.
-        value_memo = {}
-        alu_memo = {}
-        word_memo = {}
-
-        count = 0
-        reads = 0
-        fetch = rf_read = 0
-        results = writes = rf_write = 0
-        alu_ops = alu = 0
-        accesses = dcache_data = dcache_tag = 0
+        tag_histogram = {}
+        accesses = dcache_data = 0
         fills = fill_bits_total = 0
-        latches = 0
         previous_pc = None
-
-        for record in records:
-            count += 1
-            instr = record.instr
-            word = instr.word
-            static = word_memo.get(word)
-            if static is None:
-                static = (
-                    compressor.fetch_bits(instr),
-                    instr.destination_register() is not None,
-                )
-                word_memo[word] = static
-            fetch_bits, has_dest = static
-            fetch += fetch_bits
-
-            read_values = record.read_values
-            read_bits = 0
-            for value in read_values:
-                bits = value_memo.get(value)
-                if bits is None:
-                    bits = sig_blocks(value) * block_bits
-                    value_memo[value] = bits
-                read_bits += bits + ext_bits
-            reads += len(read_values)
-            rf_read += read_bits
-
-            write_value = record.write_value
-            if write_value is None:
-                result_bits = 0
-            else:
-                result_bits = value_memo.get(write_value)
-                if result_bits is None:
-                    result_bits = sig_blocks(write_value) * block_bits
-                    value_memo[write_value] = result_bits
-                result_bits += ext_bits
-                results += 1
-                if has_dest:
-                    writes += 1
-                    rf_write += result_bits
-
-            alu_kind = record.alu_kind
-            if alu_kind is not None:
-                alu_key = (alu_kind, record.alu_a, record.alu_b)
-                bits = alu_memo.get(alu_key)
-                if bits is None:
-                    result = alu_activity(record, scheme)
-                    if result is not None:
-                        bits = result.bits_operated
-                    elif alu_kind in ("mult", "div", "lui"):
-                        bits = max(
-                            sig_blocks(record.alu_a), sig_blocks(record.alu_b)
-                        ) * block_bits
-                    else:
-                        bits = -1
-                    alu_memo[alu_key] = bits
-                if bits >= 0:
-                    alu_ops += 1
-                    alu += bits
-
-            mem_addr = record.mem_addr
-            if mem_addr is None:
-                mem_value_bits = 0
-            else:
-                accesses += 1
-                mem_value = record.mem_value
-                bits = value_memo.get(mem_value)
-                if bits is None:
-                    bits = sig_blocks(mem_value) * block_bits
-                    value_memo[mem_value] = bits
-                access_bits = 8 * record.mem_size
-                mem_value_bits = (
-                    bits if bits < access_bits else access_bits
-                ) + ext_bits
-                dcache_data += mem_value_bits
-                # Tag compare: insignificant tag bytes are replaced by an
-                # extension-bit comparison, but the physical array never
-                # exceeds the baseline tag width — savings are negligible
-                # for realistic (high) addresses, as the paper reports.
-                tag_value = mem_addr >> tag_shift
-                bits = value_memo.get(tag_value)
-                if bits is None:
-                    bits = sig_blocks(tag_value) * block_bits
-                    value_memo[tag_value] = bits
-                bits += ext_bits
-                dcache_tag += bits if bits < tag_bits else tag_bits
-                # Line fill traffic, scaled by the running compression
-                # ratio of the data words accessed so far, whose bits
-                # dcache_data holds (docs/ARCHITECTURE.md, "Activity
-                # accounting").
-                if not access_line(mem_addr >> line_shift, record.mem_is_store)[0]:
-                    fills += 1
-                    ratio = dcache_data / (32.0 * accesses)
-                    fill_bits = int(line_bits * min(1.0, ratio))
-                    if ext_bits_in_memory:
-                        # Memory already stores the compressed form, so
-                        # the fill also skips regenerating the extension
-                        # bits: a further reduction by the ext-bit share.
-                        fill_bits = max(fill_bits - fill_ext_bits, fill_floor)
-                    fill_bits_total += fill_bits
-
+        for sid, record in zip(column.ids, columns.records):
             pc = record.pc
             if previous_pc is not None and pc != previous_pc + 4:
                 redirect(pc)
@@ -314,7 +260,35 @@ class ActivityModel:
                 increment()
             previous_pc = pc
 
-            latches += fetch_bits + read_bits + result_bits + mem_value_bits
+            mem_addr = record.mem_addr
+            if mem_addr is None:
+                continue
+            accesses += 1
+            dcache_data += data_bits_of[sid]
+            tag = mem_addr >> tag_shift
+            tag_histogram[tag] = tag_histogram.get(tag, 0) + 1
+            # Line fill traffic, scaled by the running compression ratio
+            # of the data words accessed so far, whose bits dcache_data
+            # holds (docs/ARCHITECTURE.md, "Activity accounting").
+            if not access_line(mem_addr >> line_shift, record.mem_is_store)[0]:
+                fills += 1
+                ratio = dcache_data / (32.0 * accesses)
+                fill_bits = int(line_bits * min(1.0, ratio))
+                if ext_bits_in_memory:
+                    # Memory already stores the compressed form, so the
+                    # fill also skips regenerating the extension bits: a
+                    # further reduction by the ext-bit share.
+                    fill_bits = max(fill_bits - fill_ext_bits, fill_floor)
+                fill_bits_total += fill_bits
+
+        # Tag compare: insignificant tag bytes are replaced by an
+        # extension-bit comparison, but the physical array never exceeds
+        # the baseline tag width — savings are negligible for realistic
+        # (high) addresses, as the paper reports.
+        dcache_tag = 0
+        for tag, tags in tag_histogram.items():
+            stored = scheme.significant_blocks(tag) * block_bits + ext_bits
+            dcache_tag += tags * (stored if stored < tag_bits else tag_bits)
 
         baseline = {
             "fetch": 32 * count,

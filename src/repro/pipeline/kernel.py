@@ -8,7 +8,10 @@ trace, and every simulation over the trace reads the result:
 * the **significance pass** (one per scheme,
   :func:`~repro.pipeline.siginfo.significance_column`) gives a column of
   signature ids, the signature list and its histogram.  A trace has a
-  few hundred distinct signatures per scheme;
+  few hundred distinct signatures per scheme.  It is the only caller
+  of :func:`~repro.pipeline.siginfo.alu_activity`, and the activity
+  model (:class:`~repro.pipeline.activity.ActivityModel`) counts its
+  bits from the same column;
 * the **memory-system pass**
   (:meth:`~repro.sim.hierarchy_model.MemoHierarchy.classify_block`)
   gives the instruction- and data-side stall columns and the final

@@ -1,19 +1,20 @@
 """Significance signatures: the per-record facts the timing models read.
 
-Every organization sizes its stages from a few significance facts about
-each executed instruction, the record's :class:`Signature`: its word,
-the widest source operand, the significance-ALU occupancy, the memory
-and result widths, and whether (and how) it touches memory.  Operand
-values repeat and a few static instructions dominate the dynamic
-stream, so a whole trace has only a few hundred distinct signatures
-under one scheme.
+Every organization sizes its stages, and the activity model counts its
+bits, from a few significance facts about each executed instruction,
+the record's :class:`Signature`: its word, the widest and the summed
+source operands, the significance-ALU occupancy and activity, the
+memory and result widths, and whether (and how) it touches memory.
+Operand values repeat and a few static instructions dominate the
+dynamic stream, so a whole trace has only a few hundred distinct
+signatures under one scheme.
 
 :func:`significance_column` is the one pass that computes them: it maps
 a trace to an ``array`` of signature ids and returns the signature
 list, the per-id record histogram and the word-level static facts
-alongside.  Its value, ALU and word memos live only inside that pass.
-:func:`alu_activity` runs the significance ALU for one record; the pass
-and the activity model both call it.
+alongside.  Its value, ALU and word memos live only inside that pass,
+and it is the only caller of :func:`alu_activity`, which runs the
+significance ALU for one record.
 """
 
 from array import array
@@ -37,17 +38,21 @@ class Signature(
     namedtuple(
         "Signature",
         ("word", "max_src", "alu_blocks", "mem_blocks", "result_blocks",
-         "has_mem", "is_store"),
+         "has_mem", "is_store", "read_blocks", "alu_operated"),
     )
 ):
-    """The significance facts an organization's timing hooks may read.
+    """The significance facts the timing hooks and the activity model read.
 
     Widths are in blocks of the scheme the signature was computed under.
     ``max_src`` is the widest source operand, ``alu_blocks`` the blocks
-    the significance ALU operates on (0 without an ALU operation),
+    the significance ALU occupies (0 without an ALU operation),
     ``mem_blocks`` the significant blocks of the memory value within the
     access size (0 without an access) and ``result_blocks`` those of
-    the register result (0 without one).
+    the register result (0 without one; every value has at least one).
+    ``read_blocks`` sums the source operands' blocks.  ``alu_operated``
+    is the ALU's activity in blocks: the blocks it operates on, which
+    may be 0, or the wider operand's for ``mult``, ``div`` and ``lui``;
+    -1 without an ALU operation.
     """
 
     __slots__ = ()
@@ -103,6 +108,9 @@ def _static_facts(record):
 def significance_column(records, scheme=BYTE_SCHEME):
     """The :class:`SignificanceColumn` of ``records`` under ``scheme``."""
     block_bytes = scheme.block_bits // 8
+    # With one block per word every width is exactly one block, and so
+    # is every ALU operation: the ALU need not run.
+    one_block = scheme.num_blocks == 1
     blocks_of = _Memo(scheme.significant_blocks)
     alu_memo = {}
     statics = {}
@@ -116,9 +124,10 @@ def significance_column(records, scheme=BYTE_SCHEME):
         if word not in statics:
             statics[word] = _static_facts(record)
 
-        max_src = 0
+        max_src = read_blocks = 0
         for value in record.read_values:
             blocks = blocks_of[value]
+            read_blocks += blocks
             if blocks > max_src:
                 max_src = blocks
 
@@ -138,25 +147,28 @@ def significance_column(records, scheme=BYTE_SCHEME):
         alu_kind = record.alu_kind
         if alu_kind is None:
             alu_blocks = 0
-        elif alu_kind == "lui":
-            alu_blocks = result_blocks if result_blocks > 1 else 1
-        elif alu_kind in ("mult", "div"):
-            alu_blocks = blocks_of[record.alu_a]
-            b_blocks = blocks_of[record.alu_b]
-            if b_blocks > alu_blocks:
-                alu_blocks = b_blocks
+            alu_operated = -1
+        elif one_block:
+            alu_blocks = alu_operated = 1
+        elif alu_kind in ("mult", "div", "lui"):
+            # The iterative multiplier/divider and the LUI mover touch
+            # the significant blocks of both operands.  The kernel
+            # sizes LUI's occupancy by its result instead.
+            alu_operated = max(blocks_of[record.alu_a], blocks_of[record.alu_b])
+            if alu_kind != "lui":
+                alu_blocks = alu_operated
+            else:
+                alu_blocks = result_blocks if result_blocks > 1 else 1
         else:
             alu_key = (alu_kind, record.alu_a, record.alu_b)
-            alu_blocks = alu_memo.get(alu_key)
-            if alu_blocks is None:
-                result = alu_activity(record, scheme)
-                alu_blocks = 0 if result is None else max(
-                    1, result.blocks_operated
-                )
-                alu_memo[alu_key] = alu_blocks
+            alu_pair = alu_memo.get(alu_key)
+            if alu_pair is None:
+                operated = alu_activity(record, scheme).blocks_operated
+                alu_pair = alu_memo[alu_key] = (max(1, operated), operated)
+            alu_blocks, alu_operated = alu_pair
 
         key = (word, max_src, alu_blocks, mem_blocks, result_blocks,
-               has_mem, record.mem_is_store)
+               has_mem, record.mem_is_store, read_blocks, alu_operated)
         sid = ids_of.get(key)
         if sid is None:
             sid = ids_of[key] = len(signatures)
@@ -191,8 +203,6 @@ def alu_activity(record, scheme=BYTE_SCHEME):
         return significance_logical(a, b, kind, scheme=scheme)
     if kind in ("sll", "srl", "sra"):
         return significance_shift(a, b, kind, scheme=scheme)
-    if kind in ("mult", "div", "lui"):
-        # Iterative multiplier/divider and the LUI mover are modelled as
-        # touching the significant blocks of both operands (at least one).
-        return None
+    # mult, div and lui have no block-serial model (see
+    # significance_column for how they are counted).
     return None

@@ -204,10 +204,11 @@ class ActivityUnit(
         return "activity-%s%s" % (scheme_name, "-mem" if ext_in_memory else "")
 
     def compute(self, workload, traces):
-        """Run the configured activity model over the trace."""
-        records = traces.trace(workload, scale=self.scale)
+        """Run the configured activity model over the trace's shared
+        columns (its significance column is the simulations' one)."""
+        columns = traces.columns(workload, scale=self.scale)
         return model_from_config(self.config).process(
-            records, name=workload.name
+            columns, name=workload.name
         ), None
 
     def unwrap(self, payload):

@@ -14,9 +14,9 @@ class Workload:
     """A named MiniC kernel with synthetic inputs and a Python reference.
 
     ``source_builder(scale)`` returns MiniC source; ``reference(scale)``
-    returns the exact output text the program must print.  Programs,
-    traces and outputs are cached per scale — the studies run many
-    analyses over the same trace.
+    returns the exact output text the program must print.  Sources,
+    programs, traces and outputs are cached per scale — the studies run
+    many analyses over the same trace, and the caches hash the source.
     """
 
     def __init__(self, name, source_builder, reference, description, category="media"):
@@ -25,12 +25,15 @@ class Workload:
         self.reference = reference
         self.description = description
         self.category = category
+        self._sources = {}
         self._programs = {}
         self._runs = {}
 
     def source(self, scale=1):
-        """MiniC source text at the given scale."""
-        return self.source_builder(scale)
+        """MiniC source text at the given scale (built once per scale)."""
+        if scale not in self._sources:
+            self._sources[scale] = self.source_builder(scale)
+        return self._sources[scale]
 
     def program(self, scale=1):
         """Compiled program (cached)."""
@@ -101,7 +104,8 @@ class Workload:
         return True
 
     def clear_cache(self):
-        """Drop cached programs and runs (frees trace memory)."""
+        """Drop cached sources, programs and runs (frees trace memory)."""
+        self._sources.clear()
         self._programs.clear()
         self._runs.clear()
 

@@ -35,17 +35,19 @@ class SigInfo:
         "mem_blocks",
         "alu_blocks",
         "alu_result",
+        "alu_operated",
         "max_src_blocks",
     )
 
     def __init__(self, fetch_bytes, src_blocks, result_blocks, mem_blocks,
-                 alu_blocks, alu_result):
+                 alu_blocks, alu_result, alu_operated):
         self.fetch_bytes = fetch_bytes
         self.src_blocks = src_blocks
         self.result_blocks = result_blocks
         self.mem_blocks = mem_blocks
         self.alu_blocks = alu_blocks
         self.alu_result = alu_result
+        self.alu_operated = alu_operated
         self.max_src_blocks = max(src_blocks) if src_blocks else 0
 
 
@@ -69,6 +71,16 @@ def compute_siginfo(record, scheme=BYTE_SCHEME, compressor=None):
     else:
         mem_blocks = 0
     result = alu_activity(record, scheme)
+    if record.alu_kind in ("mult", "div", "lui"):
+        # The activity model's count: the wider operand's blocks.
+        alu_operated = max(
+            scheme.significant_blocks(record.alu_a),
+            scheme.significant_blocks(record.alu_b),
+        )
+    elif result is not None:
+        alu_operated = result.blocks_operated
+    else:
+        alu_operated = -1
     if result is not None:
         alu_blocks = max(1, result.blocks_operated)
     elif record.alu_kind in ("mult", "div"):
@@ -80,11 +92,12 @@ def compute_siginfo(record, scheme=BYTE_SCHEME, compressor=None):
     else:
         alu_blocks = 0
     return SigInfo(fetch_bytes, src_blocks, result_blocks, mem_blocks,
-                   alu_blocks, result)
+                   alu_blocks, result, alu_operated)
 
 
 def signature_of(record, info):
-    """The :class:`~repro.pipeline.siginfo.Signature` the hooks read."""
+    """The :class:`~repro.pipeline.siginfo.Signature` the hooks and the
+    activity model read."""
     return Signature(
         record.instr.word,
         info.max_src_blocks,
@@ -93,6 +106,8 @@ def signature_of(record, info):
         info.result_blocks,
         record.mem_addr is not None,
         record.mem_is_store,
+        sum(info.src_blocks),
+        info.alu_operated,
     )
 
 

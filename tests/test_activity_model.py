@@ -1,9 +1,9 @@
 """Tests for the Section 2.9 activity accounting.
 
 The heart is the differential suite: the production
-:class:`~repro.pipeline.activity.ActivityModel` (memoized per value,
-ALU operation and instruction word; line fills counted on the memoized
-L1D) must produce an :class:`~repro.pipeline.activity.ActivityReport`
+:class:`~repro.pipeline.activity.ActivityModel` (sums over the trace's
+significance column plus one sequential pass; line fills counted on
+the memoized L1D) must produce an :class:`~repro.pipeline.activity.ActivityReport`
 equal, field for field, to the reference model in
 ``tests/oracles/reference_activity.py`` (the original per-record loop
 over the full reference ``MemoryHierarchy``) — over fixed workloads and
@@ -21,7 +21,9 @@ from repro.core.compress import get_scheme
 from repro.core.extension import BYTE_SCHEME, HALFWORD_SCHEME
 from repro.minic import compile_program
 from repro.obs import tracing
+from repro.pipeline import activity as activity_module
 from repro.pipeline.activity import STAGES, ActivityModel, ActivityReport, _average_report
+from repro.pipeline.kernel import TraceColumns
 from repro.sim import Interpreter, load_program
 from repro.workloads import get_workload
 
@@ -232,6 +234,34 @@ class TestOneActivityModel:
             "_standard_config", "model.latch_boundaries",
         ):
             assert src_mentions(needle) == [], needle
+
+    def test_significance_work_lives_in_the_column_pass(self):
+        # Only the significance pass runs the significance ALU; the
+        # activity model reads its column.
+        assert src_mentions("alu_activity(") == ["pipeline/siginfo.py"]
+        source = inspect.getsource(activity_module)
+        for needle in ("value_memo", "alu_memo", "word_memo", "alu_activity"):
+            assert needle not in source, needle
+
+    def test_shared_columns_give_the_private_report(self, diff_traces):
+        # Columns whose significance pass already ran give the same
+        # report as a record list, and run no pass of their own.
+        records = diff_traces["synth_small"]
+        columns = TraceColumns(records)
+        for scheme_name, ext_bits_in_memory in DIFF_CONFIGS:
+            model = ActivityModel(get_scheme(scheme_name), ext_bits_in_memory)
+            columns.significance(model.scheme)
+            previous = tracing.current_tracer()
+            tracer = tracing.start_trace()
+            try:
+                shared = model.process(columns, "x")
+            finally:
+                tracing.set_tracer(previous)
+            assert shared == model.process(records, "x")
+            assert not [
+                event for event in tracer.events_since(0)
+                if event["name"] == "columns.significance"
+            ]
 
     def test_process_runs_under_a_compute_span(self):
         records = trace_of("main:\n li $t0, 1\n jr $ra\n")

@@ -6,8 +6,14 @@ import weakref
 
 import pytest
 
+from repro.core.extension import HALFWORD_SCHEME
+from repro.obs import tracing
+from repro.pipeline import ALL_ORGANIZATIONS, ActivityModel
 from repro.pipeline.kernel import TraceColumns
 from repro.study import (
+    ActivityUnit,
+    ResultBroker,
+    SimUnit,
     EXPERIMENTS,
     ExperimentSession,
     TraceStore,
@@ -249,6 +255,42 @@ class TestTraceTasks:
                     for unit in task.units} == {label}
         assert sum(len(task.units) for _label, task in handed) == computed
         assert len(session.store) == 0
+
+
+    def test_simulations_and_activity_share_one_pass_per_scheme(self):
+        # Every organization and the three study activity configurations
+        # over one trace: one significance pass per scheme in all.
+        workload = get_workload("synth_small")
+        models = (
+            ActivityModel(),
+            ActivityModel(HALFWORD_SCHEME),
+            ActivityModel(ext_bits_in_memory=True),
+        )
+        units = [
+            SimUnit(workload.name, 1, org.name) for org in ALL_ORGANIZATIONS
+        ] + [
+            ActivityUnit(workload.name, 1, model.config_key())
+            for model in models
+        ]
+        broker = ResultBroker(TraceStore())
+        previous = tracing.current_tracer()
+        tracer = tracing.start_trace()
+        try:
+            assert broker.run_units(units, {workload.name: workload}) == len(units)
+        finally:
+            tracing.set_tracer(previous)
+        events = tracer.events_since(0)
+        schemes = sorted(
+            event["args"]["scheme"] for event in events
+            if event["name"] == "columns.significance"
+        )
+        assert schemes == ["block16", "block32", "byte3"]
+        assert sum(event["name"] == "activity.process" for event in events) == 3
+        records = workload.trace()
+        for model in models:
+            assert broker.activity_report(model, workload) == model.process(
+                records, name=workload.name
+            )
 
 
 class TestParallelFallback:

@@ -25,7 +25,7 @@ from repro.sim.tracefile import (
     significant_byte_count,
 )
 from repro.study.session import ExperimentSession, TraceStore
-from repro.study.trace_cache import ENV_CACHE_DIR, TraceCache
+from repro.study.trace_cache import ENV_CACHE_DIR, TraceCache, source_hash
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
 
@@ -166,16 +166,18 @@ class TestTraceCache:
         assert not os.path.exists(path)  # and the bad file is gone
 
     def test_truncated_entry_falls_back_to_resimulation(self, tmp_path):
-        workload, state = make_counting_workload()
+        workload, _state = make_counting_workload()
         cache = TraceCache(tmp_path)
         store = TraceStore(cache=cache)
         store.trace(workload)
         path = cache.path_for(workload)
         open(path, "wb").write(open(path, "rb").read()[:40])
-        simulated_before = state["count"]
+        # Drop the workload's in-memory run: only a re-simulation can
+        # serve the trace now.
+        workload.clear_cache()
         fresh = TraceStore(cache=cache)
         records = fresh.trace(workload)
-        assert state["count"] > simulated_before  # re-simulated
+        assert workload.run()[1] is not None  # re-simulated: an interpreter ran
         assert fresh.materializations == {("counted", 1): 1}
         assert fresh.disk_hits == {}
         assert records == workload.trace()
@@ -188,6 +190,20 @@ class TestTraceCache:
         monkeypatch.setattr(tracefile, "CODEC_VERSION", tracefile.CODEC_VERSION + 1)
         assert cache.path_for(workload) != old_path  # key includes version
         assert cache.load(workload) is None
+
+    def test_source_built_once_per_scale(self):
+        # The hash and the compiled program read one cached source text.
+        workload, state = make_counting_workload()
+        first = source_hash(workload)
+        workload.program(1)
+        assert source_hash(workload) == first
+        workload.program(1)
+        assert state["count"] == 1
+        source_hash(workload, scale=2)
+        assert state["count"] == 2
+        workload.clear_cache()
+        assert source_hash(workload) == first
+        assert state["count"] == 3
 
     def test_stale_source_hash_invalidates(self, tmp_path):
         workload, state = make_counting_workload()

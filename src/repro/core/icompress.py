@@ -168,27 +168,27 @@ class FetchStatistics:
         self.immediate_fits_byte = 0
         self.funct_counts = {}
 
-    def record(self, instr):
-        """Record one executed instruction."""
-        self.total += 1
+    def record(self, instr, times=1):
+        """Record ``instr`` executed ``times`` times."""
+        self.total += times
         footprint = self.compressor.compress(instr)
-        self.bytes_fetched += footprint.bytes_fetched
+        self.bytes_fetched += times * footprint.bytes_fetched
         if instr.is_r_format:
             self.funct_counts[int(instr.funct)] = (
-                self.funct_counts.get(int(instr.funct), 0) + 1
+                self.funct_counts.get(int(instr.funct), 0) + times
             )
-            self.r_format_with_funct += 1
+            self.r_format_with_funct += times
             if footprint.bytes_fetched == 3:
-                self.r_format_short += 1
+                self.r_format_short += times
         elif instr.is_j_format:
-            self.j_format += 1
+            self.j_format += times
         else:
-            self.i_format += 1
-            self.with_immediate += 1
+            self.i_format += times
+            self.with_immediate += times
             if self.compressor._immediate_fits_byte(instr) or (
                 instr.opcode == Opcode.LUI and instr.imm_u <= 0xFF
             ):
-                self.immediate_fits_byte += 1
+                self.immediate_fits_byte += times
 
     def merge(self, other):
         """Fold another statistics object into this one."""

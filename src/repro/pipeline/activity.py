@@ -20,12 +20,14 @@ latches        inter-stage latch bits (instruction, operands, results)
 
 The counts come from the trace's significance column
 (:func:`~repro.pipeline.siginfo.significance_column`, which the
-kernel's simulations of the trace share), so the model does no
-per-value or ALU work of its own: fetch, register-file, ALU and latch
-bits are sums over the signature histogram, and one sequential pass
-over the records adds what depends on the address or the record
-order — the data bits with the line fills they scale, the tag compare
-and the block-serial PC.  Line fills, counted on the memoized L1D
+kernel's simulations of the trace share) and its summary
+(:func:`~repro.pipeline.trace_summary.summarize`, which the trace
+walkers share), so the model does no per-value or ALU work of its own:
+fetch, register-file, ALU and latch bits are sums over the signature
+histogram, the block-serial PC is summed over the PC transition edges,
+and one sequential pass over the records adds what depends on the
+address or the record order — the data bits with the line fills they
+scale, and the tag compare.  Line fills, counted on the memoized L1D
 structure, are charged at the line size scaled by the running
 compression ratio of accessed data words (the trace does not expose
 whole-line contents; see docs/ARCHITECTURE.md, "Activity
@@ -35,9 +37,9 @@ accounting").  The original per-record loop is the test oracle in
 
 from repro.core.extension import BYTE_SCHEME
 from repro.core.icompress import InstructionCompressor
-from repro.core.pc import BlockSerialPC
 from repro.obs import tracing
 from repro.pipeline.kernel import TraceColumns
+from repro.pipeline.trace_summary import replay_pc_model
 from repro.sim.hierarchy import PAPER_HIERARCHY
 from repro.sim.hierarchy_model import memo_cache
 
@@ -226,13 +228,14 @@ class ActivityModel:
 
             latches += weight * (fetch_bits + read_bits + result_bits + data_bits)
 
-        # One sequential pass for what depends on the address or on the
-        # record order: the tag compare, the L1D line fills with their
-        # running compression ratio, and the block-serial PC.
-        pc_model = BlockSerialPC(block_bits=block_bits)
-        increment = pc_model.increment
-        redirect = pc_model.redirect
+        # The block-serial PC, from PC 0, over the trace's PC edges.
+        pc_bits = replay_pc_model(
+            block_bits, [columns.summary().pc_payload((block_bits,))]
+        ).bits_operated
 
+        # One sequential pass for what depends on the address or on the
+        # record order: the tag compare and the L1D line fills with their
+        # running compression ratio.
         l1d_config = PAPER_HIERARCHY.l1d
         l1d = memo_cache(l1d_config)
         access_line = l1d.access_line
@@ -251,15 +254,7 @@ class ActivityModel:
         tag_histogram = {}
         accesses = dcache_data = 0
         fills = fill_bits_total = 0
-        previous_pc = None
         for sid, record in zip(column.ids, columns.records):
-            pc = record.pc
-            if previous_pc is not None and pc != previous_pc + 4:
-                redirect(pc)
-            else:
-                increment()
-            previous_pc = pc
-
             mem_addr = record.mem_addr
             if mem_addr is None:
                 continue
@@ -309,7 +304,7 @@ class ActivityModel:
             "alu": alu,
             "dcache_data": dcache_data + fill_bits_total,
             "dcache_tag": dcache_tag,
-            "pc": pc_model.bits_operated,
+            "pc": pc_bits,
             "latches": latches,
         }
         return ActivityReport(name, baseline, compressed, count)

@@ -22,6 +22,12 @@ trace, and every simulation over the trace reads the result:
   column and its accuracy.  The predictor, too, sees every control
   record in order under every organization.
 
+A fourth pass serves the other consumers of the trace: the **summary
+pass** (:func:`~repro.pipeline.trace_summary.summarize`) gives the
+operand-value, per-PC and PC-edge histograms that every trace walker
+(:mod:`repro.study.walkers`) and the activity model's block-serial PC
+reduce.
+
 The kernel does the organization-dependent rest:
 
 * :meth:`TabularKernel.expand` maps one organization over the signature
@@ -35,9 +41,9 @@ The kernel does the organization-dependent rest:
   columns, indexing the table by signature id.  It holds no trace
   record and calls no hierarchy method.
 
-Each pass runs inside the first ``expand``/``simulate`` call that needs
-it, under its own ``compute`` span (``columns.significance``,
-``columns.memory``, ``columns.prediction``).
+Each pass runs inside the first call that needs it, under its own
+``compute`` span (``columns.significance``, ``columns.memory``,
+``columns.prediction``, ``columns.summary``).
 
 This is the only production kernel.  The differential suite
 (``tests/test_kernels.py``) holds it, field for field, to the original
@@ -53,6 +59,7 @@ from repro.obs import tracing
 from repro.pipeline.base import PipelineResult
 from repro.pipeline.predictor import BimodalPredictor
 from repro.pipeline.siginfo import significance_column
+from repro.pipeline.trace_summary import summarize
 from repro.sim.hierarchy_model import MemoHierarchy
 
 #: The kernel's name, as :func:`get_kernel` and the benchmark know it.
@@ -79,6 +86,7 @@ class TraceColumns:
         self._significance = {}
         self._memory = None
         self._prediction = None
+        self._summary = None
         #: organization -> its :class:`TimingTable` (see
         #: :meth:`TabularKernel.expand`).
         self.tables = {}
@@ -131,6 +139,12 @@ class TraceColumns:
                         hits[index] = 1
             self._prediction = (hits, predictor.accuracy)
         return self._prediction
+
+    def summary(self):
+        """The trace's :class:`~repro.pipeline.trace_summary.TraceSummary`."""
+        if self._summary is None:
+            self._summary = summarize(self.records, self.label)
+        return self._summary
 
 
 #: One organization's expansion of one trace: ``rows[signature id]`` is

@@ -9,7 +9,7 @@ sequential-only savings (Table 5's 73.3% vs the analytic 87%).
 from repro.core.pc import expected_activity_bits, expected_latency_cycles
 from repro.study.report import format_table, percent
 from repro.study.scheduler import broker_for
-from repro.study.walkers import replay_pc_model
+from repro.pipeline.trace_summary import replay_pc_model
 from repro.workloads import mediabench_suite
 
 #: The paper's Table 2 rows for the block sizes that divide 32.

@@ -10,7 +10,7 @@ simulation, activity-model pass, trace walk or static analysis over one
   pass under a declarative configuration key;
 * :class:`WalkUnit` — one :class:`~repro.study.walkers.TraceWalker`
   reduction (pattern counts, PC-stream activity, fetch statistics,
-  value-level ablation scans) over the record stream;
+  value-level ablation scans) over the trace's summary;
 * :class:`AnalysisUnit` / :class:`TagTableUnit` — static analysis of
   the assembled program, which needs no trace at all.
 
@@ -31,11 +31,12 @@ in-memory broker.
 The scheduling unit is one *trace*: every pending unit over one
 ``(workload, scale)`` forms one :class:`TraceTask`, which gets its trace
 at most once, computes every unit — simulations and activity passes on
-the record list, then all walkers fed together from a single
-:meth:`~repro.study.session.TraceStore.stream` pass — and releases the
-trace before the next task starts.  Serial runs, ``--jobs N`` workers
-and the supervisor's quarantine path all execute the same task, so a
-batch holds at most one trace per process, and a fully warm run touches
+the record list, then all walkers from the one trace summary
+(:meth:`~repro.study.session.TraceStore.summary`, streamed from disk
+when nothing else needed the records) — and releases the trace before
+the next task starts.  Serial runs, ``--jobs N`` workers and the
+supervisor's quarantine path all execute the same task, so a batch
+holds at most one trace per process, and a fully warm run touches
 no trace at all — zero decodes, zero walks.  Because every unit is
 deterministic, study reports reassemble byte-identically regardless of
 scheduling.
@@ -65,7 +66,6 @@ from repro.pipeline.activity import ActivityModel, ActivityReport
 from repro.pipeline.base import PipelineResult
 from repro.pipeline.kernel import default_kernel_name, get_kernel
 from repro.pipeline.organizations import get_organization
-from repro.sim.tracefile import TraceCodecError
 from repro.study.session import TraceStore
 from repro.study.supervisor import SupervisedExecutor
 from repro.study.walkers import (
@@ -101,7 +101,7 @@ class _Unit:
     #: Hit/miss counter family: ``"sim"`` counts into ``sim_hits`` /
     #: ``sim_misses``, ``"walk"`` into ``walk_hits`` / ``walk_misses``.
     #: Walk-family units are also the fused ones: every pending walk
-    #: unit of one trace shares a single streaming pass.
+    #: unit of one trace reduces the same trace summary.
     family = "sim"
 
     def __hash__(self):
@@ -225,8 +225,8 @@ class WalkUnit(
     rides into the result-store descriptor, so payloads from different
     walkers (or differently parameterized ones) never mix; the stored
     payload itself carries a version + spec envelope as a second check.
-    Walk units never compute alone: a :class:`TraceTask` feeds every
-    pending walk unit of its trace from a single streaming pass.
+    Walk units never compute alone: a :class:`TraceTask` reduces every
+    pending walk unit of its trace from the one trace summary.
     """
 
     __slots__ = ()
@@ -547,9 +547,10 @@ class ResultBroker:
 
         Returns ``[(result, sim seconds or None), ...]`` in unit order.
         The non-walk units compute first, so a task that simulates
-        resolves the record list once and its walkers iterate that list;
-        a walk-only task streams the trace instead.  Counter-free, so
-        forked workers run exactly this.
+        resolves the record list once and its walkers reduce the summary
+        of that list; a walk-only task streams the trace into the
+        summary instead.  Counter-free, so forked workers run exactly
+        this.
         """
         workload = self._workloads[task.workload]
         timed = {}
@@ -653,34 +654,29 @@ class ResultBroker:
         return result
 
     def _walk_group(self, workload, scale, units):
-        """Execute every walker in ``units`` over one streaming pass.
+        """Reduce the trace's summary with every walker in ``units``.
 
-        The record stream is the in-memory list when the task already
-        resolved one, else the persistent cache's compressed file (no
-        full-list materialization); a damaged entry surfacing
-        mid-stream poisons the partially fed walkers, so they are all
-        rebuilt and re-fed from a freshly materialized trace (the
-        damaged cache entry was already removed by the stream's own
-        fail-closed handling).  Returns payload data dicts in unit order.
+        The summary is the held columns' one when the task already
+        resolved the record list, else one streaming pass over the
+        persistent cache's compressed file (see
+        :meth:`~repro.study.session.TraceStore.summary`).  Returns
+        payload data dicts in unit order.
         """
         with tracing.span(
             "walk.group:%s@%d" % (workload.name, scale), "compute",
             workload=workload.name, scale=scale, walkers=len(units),
             specs=[unit.slug() for unit in units],
         ) as handle:
-            try:
-                walkers, records = _feed_walkers(
-                    units, self.traces.stream(workload, scale=scale)
-                )
-            except TraceCodecError:
-                walkers, records = _feed_walkers(
-                    units, self.traces.trace(workload, scale=scale)
-                )
-            handle.note(records=records)
-            return [
-                walker.traced_finish(unit.slug())
-                for walker, unit in zip(walkers, units)
-            ]
+            summary = self.traces.summary(workload, scale=scale)
+            handle.note(records=summary.records)
+            payloads = []
+            for unit in units:
+                with tracing.span(
+                    "walk.finish:%s" % unit.slug(), "compute",
+                    kind=unit.walker[0],
+                ):
+                    payloads.append(build_walker(unit.walker).reduce(summary))
+            return payloads
 
     def _install(self, unit, workload, result, seconds=None):
         """Memoize a freshly computed result and write it back to disk.
@@ -703,13 +699,3 @@ class ResultBroker:
             sum(self.sim_misses.values()) + sum(self.walk_misses.values()),
         )
 
-
-def _feed_walkers(units, records):
-    """Fresh walkers for ``units`` fed from ``records``: ``(walkers, count)``."""
-    walkers = [build_walker(unit.walker) for unit in units]
-    feeds = [walker.feed for walker in walkers]
-    count = 0
-    for count, record in enumerate(records, 1):
-        for feed in feeds:
-            feed(record)
-    return walkers, count

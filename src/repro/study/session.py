@@ -27,10 +27,11 @@ with a warm persistent :class:`~repro.study.result_store.ResultStore`
 Traces are resolved lazily, by the units that actually compute: the
 broker schedules one task per pending ``(workload, scale)``, which
 resolves its trace at most once — walk-only tasks stream records
-straight from the compressed cache files (:meth:`TraceStore.stream`) —
-and releases it when the task ends, so a batch holds at most one
-trace's records per process and a fully warm run touches no trace at
-all — zero decodes, zero simulations, zero walks.  The experiment
+straight from the compressed cache files into the trace summary
+(:meth:`TraceStore.summary`) — and releases it when the task ends, so
+a batch holds at most one trace's records per process and a fully warm
+run touches no trace at all — zero decodes, zero simulations, zero
+walks.  The experiment
 runners then execute one after another in request order: each only
 reads the results its spec declared, which the broker already
 memoized, so the experiment phase computes nothing and ``--jobs N``
@@ -48,6 +49,8 @@ from collections import namedtuple
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, format_workload_scale
 from repro.pipeline.kernel import TraceColumns
+from repro.pipeline.trace_summary import summarize
+from repro.sim.tracefile import TraceCodecError
 from repro.workloads import mediabench_suite
 
 
@@ -160,32 +163,27 @@ class TraceStore:
         self.trace(workload, scale=scale)
         return self._traces[(workload.name, scale)]
 
-    def stream(self, workload, scale=1):
-        """A single-pass record iterator, preferring disk streaming.
+    def summary(self, workload, scale=1):
+        """The trace's :class:`~repro.pipeline.trace_summary.TraceSummary`.
 
-        Fallthrough: an already materialized in-memory list is iterated
-        for free; otherwise a persistent-cache entry is streamed straight
-        from the compressed file — one decode pass, no list — and only
-        when neither exists does the store materialize the full trace
-        (via :meth:`trace`, so the usual counters and write-back apply).
-
-        A streamed pass can raise
-        :class:`~repro.sim.tracefile.TraceCodecError` mid-iteration on a
-        damaged cache entry (the entry is removed first); consumers
-        discard any partial state and retry via :meth:`trace`.
+        A held trace's columns build (or hold) it; otherwise a
+        persistent-cache entry is streamed straight into it, with no
+        record list.  Without an entry, or when the entry proves damaged
+        mid-stream (the cache removes it), the trace is materialized
+        through :meth:`columns` and its usual counters and write-back.
         """
         key = (workload.name, scale)
         self._claim(workload)
-        held = self._traces.get(key)
-        if held is not None:
-            return iter(held.records)
-        if self.cache is not None:
+        if key not in self._traces and self.cache is not None:
             stream = self.cache.stream(workload, scale=scale)
             if stream is not None:
                 self.stream_hits.inc(key)
                 self.decode_misses.inc(key)
-                return stream
-        return iter(self.trace(workload, scale=scale))
+                try:
+                    return summarize(stream, format_workload_scale(key))
+                except TraceCodecError:
+                    pass
+        return self.columns(workload, scale=scale).summary()
 
     def times_materialized(self, name, scale=1):
         """How often the named trace was actually built (0 if never)."""

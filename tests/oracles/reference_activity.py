@@ -1,9 +1,10 @@
 """The reference activity model: the original unmemoized per-record loop.
 
 The production model (:class:`repro.pipeline.activity.ActivityModel`)
-memoizes the significance work per operand value, ALU operation and
-instruction word, and counts L1 line fills on the memoized L1D
-structure alone.  This oracle does the same accounting the obvious way:
+reads the trace's significance column (per-signature sums) and its
+trace summary (the block-serial PC over distinct PC edges), and counts
+L1 line fills on the memoized L1D structure alone.  This oracle does
+the same accounting the obvious way:
 the scheme's ``significant_blocks`` and :func:`alu_activity` called per
 record, and every fetch and data access walked through the full
 reference :class:`~oracles.reference_hierarchy.MemoryHierarchy`, whose

@@ -186,6 +186,17 @@ int main() {
 """
 
 
+#: PC-stream edge cases for the block-serial PC count: a run that never
+#: redirects (it ends on its return), and one whose second record is
+#: already a redirect target.
+PC_EDGE_SOURCES = {
+    "no_redirect": "main:\n li $t0, 1\n addu $t1, $t0, $t0\n"
+                   " sw $t1, -4($sp)\n jr $ra\n",
+    "early_redirect": "main:\n j start\n nop\nstart:\n li $t0, 3\n"
+                      "loop:\n addiu $t0, $t0, -1\n bgtz $t0, loop\n jr $ra\n",
+}
+
+
 @pytest.fixture(scope="module")
 def diff_traces():
     return {name: get_workload(name).trace() for name in DIFF_WORKLOADS}
@@ -208,6 +219,14 @@ class TestDifferentialAgainstOracle:
         assert_matches_oracle(
             diff_traces[workload], workload, scheme_name, ext_bits_in_memory
         )
+
+    @pytest.mark.parametrize("scheme_name,ext_bits_in_memory", DIFF_CONFIGS)
+    @pytest.mark.parametrize("name", sorted(PC_EDGE_SOURCES))
+    def test_pc_edge_trace_matches_oracle(
+        self, name, scheme_name, ext_bits_in_memory
+    ):
+        records = trace_of(PC_EDGE_SOURCES[name])
+        assert_matches_oracle(records, name, scheme_name, ext_bits_in_memory)
 
     @seed(20001)
     @settings(max_examples=6, deadline=None)

@@ -41,6 +41,7 @@ from repro.analysis.tag_table import TagTable
 from repro.asm import assemble
 from repro.cli import main
 from repro.core.compress import UnknownSchemeError, scheme_names
+from repro.pipeline.trace_summary import summarize
 from repro.study.walkers import build_walker, unwrap_payload, wrap_payload
 from repro.workloads import get_workload, mediabench_suite
 
@@ -174,9 +175,7 @@ def test_static_bounds_sound_vs_dynamic_walk(name):
     # The cross-check's dynamic side is the same quantity the paper's
     # scheme-ablation walker measures — bit-identical, not just close.
     walker = build_walker(("scheme_bits", tuple(report["schemes"])))
-    for record in records:
-        walker.feed(record)
-    assert report["dynamic_bits"] == walker.finish()["bits"]
+    assert report["dynamic_bits"] == walker.reduce(summarize(records))["bits"]
 
     # Sound: the static total can only be an over-approximation.
     for static, dynamic in zip(report["static_bits"], report["dynamic_bits"]):
@@ -261,10 +260,7 @@ def test_scheme_bound_bytes_unknown_scheme_raises():
 def test_pc_exec_walker_counts_and_envelope():
     workload = get_workload("synth_small")
     records = workload.trace()
-    walker = build_walker(("pc_exec",))
-    for record in records:
-        walker.feed(record)
-    payload = walker.finish()
+    payload = build_walker(("pc_exec",)).reduce(summarize(records))
     assert sum(count for _, count in payload["execs"]) == len(records)
     pcs = [pc for pc, _ in payload["execs"]]
     assert pcs == sorted(pcs)

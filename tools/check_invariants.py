@@ -316,12 +316,28 @@ def _class_string_attr(class_node, attribute):
     return None
 
 
+def _is_abstract_stub(function):
+    """True for a method whose body only raises NotImplementedError."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+        body[0].value, ast.Constant
+    ):
+        body = body[1:]  # the docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    raised = body[0].exc
+    if isinstance(raised, ast.Call):
+        raised = raised.func
+    return isinstance(raised, ast.Name) and raised.id == "NotImplementedError"
+
+
 def _class_methods(class_node, classes):
-    """Method names defined on a class or its in-module bases."""
+    """Method names a class or its in-module bases implement (abstract
+    ``raise NotImplementedError`` stubs do not count)."""
     methods = {
         item.name
         for item in class_node.body
-        if isinstance(item, ast.FunctionDef)
+        if isinstance(item, ast.FunctionDef) and not _is_abstract_stub(item)
     }
     for base in class_node.bases:
         if isinstance(base, ast.Name) and base.id in classes:
@@ -330,7 +346,13 @@ def _class_methods(class_node, classes):
 
 
 def check_registered_walkers(errors):
-    """Invariant 2b: every WALKERS entry is a kind-tagged walker class."""
+    """Invariant 2b: every WALKERS entry is a kind-tagged walker class.
+
+    Each registered class needs a string ``kind`` (its payloads are
+    spec-tagged by it) and a ``reduce(summary)`` method implemented on
+    the class or an in-module base; the protocol's abstract stub does
+    not count.
+    """
     relative_path = "src/repro/study/walkers.py"
     tree = _parse(relative_path)
     classes = _class_defs(tree)
@@ -358,13 +380,11 @@ def check_registered_walkers(errors):
                 "attribute (its payloads cannot be spec-tagged)"
                 % (relative_path, name)
             )
-        methods = _class_methods(class_node, classes)
-        for required in ("feed", "finish"):
-            if required not in methods:
-                errors.append(
-                    "%s: registered walker %s does not define %s()"
-                    % (relative_path, name, required)
-                )
+        if "reduce" not in _class_methods(class_node, classes):
+            errors.append(
+                "%s: registered walker %s does not define reduce()"
+                % (relative_path, name)
+            )
 
 
 #: Parser-builder functions in repro.cli whose add_argument() calls

@@ -6,7 +6,7 @@ runs (analysis only), disk-warm runs (traces decoded from the
 significance-compressed persistent cache instead of simulated),
 analysis-warm runs (pipeline/activity results served from the
 persistent result store instead of recomputed), decode throughput of
-the trace codec (full-list vs record-at-a-time streaming), the fused
+the trace codec, the fused
 trace-walk studies cold vs warm, serial vs parallel scheduling of
 independent experiments over a shared, pre-materialized TraceStore,
 raw simulation throughput of the production pipeline,
@@ -247,7 +247,7 @@ def test_static_tagging_throughput(benchmark, workload_name):
     assert byte2_bits > 0
 
 
-#: Experiments backed by walk units: the fused-streaming studies.
+#: Experiments backed by walk units: the fused walk studies.
 WALK_IDS = ("table1", "table2", "ablation-schemes", "future-segmentation")
 
 
@@ -260,8 +260,8 @@ def _trace_file(tmp_path):
 
 
 def test_decode_throughput_list(benchmark, tmp_path):
-    # Full-list decode: what every multi-pass consumer (the pipeline
-    # kernels) pays.  records/s = records_per_round / mean.
+    # Full-list decode: what every consumer of a cached trace pays.
+    # records/s = records_per_round / mean.
     path, count = _trace_file(tmp_path)
 
     def run():
@@ -273,25 +273,9 @@ def test_decode_throughput_list(benchmark, tmp_path):
     assert decoded == count
 
 
-def test_decode_throughput_stream(benchmark, tmp_path):
-    # Streaming decode: what the fused walk path pays — same records,
-    # no list, mmap-backed payload view.
-    path, count = _trace_file(tmp_path)
-
-    def run():
-        decoded = 0
-        for _record in tracefile.iter_records(path):
-            decoded += 1
-        return decoded
-
-    decoded = benchmark.pedantic(run, rounds=3, iterations=1)
-    _metrics_extra_info(benchmark, records_per_round=decoded)
-    assert decoded == count
-
-
 def test_walk_studies_cold(benchmark, tmp_path):
     # The fused cold path: traces persisted, walk results not — every
-    # round streams each trace once for all four walk studies combined.
+    # round decodes each trace once for all four walk studies combined.
     ExperimentSession(
         workloads=_workloads(), cache_dir=str(tmp_path / "seed")
     ).prepare()

@@ -263,6 +263,12 @@ class SegmentedScheme(SignificanceScheme):
             offsets.append(position)
             position += width
         self._offsets = tuple(offsets)
+        # Per upper segment: its offset, width mask, the sign bit of the
+        # segment below (the bit just under this one) and its width.
+        self._uppers = tuple(
+            (offset, (1 << width) - 1, 1 << (offset - 1), width)
+            for offset, width in zip(offsets[1:], segments[1:])
+        )
         # block_bits is only meaningful for uniform schemes; expose the
         # low segment width so stored_bits-style maths stay sensible.
         self.block_bits = segments[0]
@@ -277,13 +283,9 @@ class SegmentedScheme(SignificanceScheme):
 
     def significant_mask(self, value):
         mask = [True]
-        for index in range(1, len(self.segments)):
-            below_width = self.segments[index - 1]
-            below = self._segment_value(value, index - 1)
-            sign = (below >> (below_width - 1)) & 1
-            width = self.segments[index]
-            expected = ((1 << width) - 1) if sign else 0
-            mask.append(self._segment_value(value, index) != expected)
+        for offset, width_mask, sign_bit, _width in self._uppers:
+            expected = width_mask if value & sign_bit else 0
+            mask.append((value >> offset) & width_mask != expected)
         return tuple(mask)
 
     def significant_bytes(self, value):
@@ -292,10 +294,12 @@ class SegmentedScheme(SignificanceScheme):
         return -(-bits // 8)
 
     def datapath_bits(self, value):
-        mask = self.significant_mask(value)
-        return sum(
-            width for width, significant in zip(self.segments, mask) if significant
-        )
+        bits = self.segments[0]
+        for offset, width_mask, sign_bit, width in self._uppers:
+            expected = width_mask if value & sign_bit else 0
+            if (value >> offset) & width_mask != expected:
+                bits += width
+        return bits
 
     def stored_bits(self, value):
         return self.datapath_bits(value) + self.num_ext_bits

@@ -33,7 +33,6 @@ from repro.obs.tracing import (
     set_tracer,
     span,
     start_trace,
-    traced_iteration,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "set_tracer",
     "span",
     "start_trace",
-    "traced_iteration",
 ]

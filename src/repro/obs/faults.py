@@ -33,7 +33,7 @@ detects the dead worker); ``exc`` raises
 :class:`InjectedWorkerError`; ``hang`` sleeps far past any sane unit
 deadline (exercising ``--unit-timeout``); ``corrupt`` is returned to
 the call site, which converts it into its own domain error (a
-``TraceCodecError`` for cache streams) so the injected failure walks
+``TraceCodecError`` for trace decodes) so the injected failure walks
 the exact fail-closed path real bit rot would.
 
 The injector is process-global, like the tracer: :func:`install` arms
@@ -77,7 +77,6 @@ POINTS = {
     "store.write": ("eio",),
     "store.read": ("eio",),
     "cache.write": ("eio",),
-    "cache.stream": ("corrupt",),
     "trace.decode": ("corrupt",),
     "worker.task": ("kill", "exc", "hang"),
 }

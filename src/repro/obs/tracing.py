@@ -16,7 +16,7 @@ Categories form the span taxonomy (see ``docs/OBSERVABILITY.md``):
 * ``unit`` — one analysis-unit resolution, with a ``path`` attribute of
   ``memory`` / ``disk`` / ``compute``;
 * ``compute`` — real work: kernel expand/simulate, trace
-  encode/decode/stream/materialize, hierarchy classification, walks.
+  encode/decode/materialize, hierarchy classification, walks.
   A fully warm run contains **zero** ``compute`` events (CI asserts it).
 
 Forked workers inherit the installed tracer; because
@@ -198,21 +198,3 @@ class span:
             )
         return False
 
-
-def traced_iteration(name, category, iterator, **args):
-    """Wrap an iterator in a span covering its whole consumption.
-
-    The span opens at the first ``next()`` and closes (recording a
-    ``records`` attribute with the number of items yielded) when the
-    iterator is exhausted, raises, or is closed early — the streaming
-    decode paths use this so a lazily consumed stream still shows up as
-    one coherent event.
-    """
-    with span(name, category, **args) as handle:
-        produced = 0
-        try:
-            for item in iterator:
-                produced += 1
-                yield item
-        finally:
-            handle.note(records=produced)

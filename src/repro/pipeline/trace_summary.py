@@ -4,11 +4,10 @@ The trace-walk studies (Table 1's pattern counts, Table 2's PC stream,
 Table 3's fetch statistics, the value-level ablations, the static
 scheme's execution counts) and the activity model's block-serial PC
 need only histograms of a trace, never its record order.
-:func:`summarize` builds them in one pass over any record iterable (a
-record list or a streaming decode).  Operand values repeat heavily and
-a few static instructions dominate the dynamic stream (the paper's
-premise), so a summary holds thousands of entries where the trace holds
-hundreds of thousands of records.
+:func:`summarize` builds them in one pass over a trace's record list.
+Operand values repeat heavily and a few static instructions dominate
+the dynamic stream (the paper's premise), so a summary holds thousands
+of entries where the trace holds hundreds of thousands of records.
 """
 
 from collections import namedtuple
@@ -128,16 +127,10 @@ def summarize(records, label=None):
     """One pass over ``records`` (any iterable) into a :class:`TraceSummary`.
 
     Runs under a ``columns.summary`` compute span tagged ``trace=label``
-    that notes the record count when the pass ends.  A pass that raises
-    (a damaged streaming decode) records no span: its caller redoes the
-    pass in full, which records one.
+    that notes the record count when the pass ends.
     """
     with tracing.span("columns.summary", "compute", trace=label) as handle:
-        try:
-            summary = _summarize(records)
-        except BaseException:
-            handle.cancel()
-            raise
+        summary = _summarize(records)
         handle.note(records=summary.records)
     return summary
 

@@ -28,16 +28,12 @@ so truncation, bit rot, and codec revisions are all detected before any
 record is trusted (:class:`TraceCodecError`); callers fall back to
 re-simulation.
 
-Two decode shapes share one implementation: :func:`load_trace` builds
-the full record list (multi-pass consumers — the pipeline kernels),
-while :func:`iter_records` streams records one at a time out of an
-mmap-backed zero-copy payload view (:func:`map_payload`) for
-single-pass consumers like the fused trace walkers, which never need
-the list at all.
+A trace leaves disk one way: :func:`load_trace` reads the file once,
+validates the container (:func:`read_meta` shares that parser) and
+decodes the record list in place (:func:`decode_records`).
 """
 
 import json
-import mmap
 import struct
 import zlib
 
@@ -184,28 +180,16 @@ def encode_records(records):
 # ------------------------------------------------------------------ decoding
 
 
-def decode_records(payload, count):
+def decode_records(payload, count, start=0):
     """Rebuild ``count`` trace records from an encoded ``payload``.
 
-    List form of :func:`iter_decode_records`; same validation, same
-    failure modes.
-    """
-    return list(iter_decode_records(payload, count))
-
-
-def iter_decode_records(payload, count):
-    """Decode ``count`` trace records lazily from an encoded ``payload``.
-
-    Yields records one at a time so single-pass consumers never hold the
-    full list; ``payload`` may be ``bytes`` or any byte-indexable buffer
-    (a memoryview over an mmap, in particular — see :func:`iter_records`).
+    Decoding begins at byte ``start`` and must end exactly at the end of
+    ``payload``, so :func:`load_trace` decodes straight out of the bytes
+    it read, with no second copy of the payload.
 
     Raises :class:`TraceCodecError` on any structural damage: truncated
     payload, unknown flags or ALU kinds, undecodable instruction words,
     value-count mismatches, or trailing bytes after the final record.
-    Damage is detected at the damaged record, so a partially consumed
-    stream that later raises must be treated as poisoned — callers
-    discard whatever they accumulated and fall back to re-simulation.
 
     The loop body is deliberately flat and index-based: decoding must
     beat re-simulation by a wide margin or the persistent cache is
@@ -213,7 +197,7 @@ def iter_decode_records(payload, count):
     millions of records per trace.
     """
     data = payload
-    pos = 0
+    pos = start
     limit = len(data)
     expected_pc = None
     num_kinds = len(ALU_KINDS)
@@ -225,6 +209,8 @@ def iter_decode_records(payload, count):
     # The round-trip tests pin this against __init__'s field set.
     new_record = TraceRecord.__new__
     record_type = TraceRecord
+    records = []
+    append_record = records.append
     try:
         for _ in range(count):
             if pos + 2 > limit:
@@ -354,7 +340,7 @@ def iter_decode_records(payload, count):
                     % (num_values, cursor)
                 )
             expected_pc = next_pc
-            yield record
+            append_record(record)
     except IndexError:
         # Indexing past `values` means the stored value count disagrees
         # with the flags — structural damage, same as any other mismatch.
@@ -363,6 +349,7 @@ def iter_decode_records(payload, count):
         raise TraceCodecError(
             "%d trailing bytes after final record" % (limit - pos)
         )
+    return records
 
 
 # ------------------------------------------------------------------ file I/O
@@ -397,6 +384,33 @@ def dump_trace(path, records, meta=None):
     return stored_meta
 
 
+def _parse_container(data, path):
+    """Validate magic, codec version and meta block at the head of ``data``.
+
+    Returns ``(meta, meta_end)``; the payload CRC-32 sits at
+    ``meta_end``.  ``data`` may stop anywhere after the CRC: a file's
+    header alone is enough.
+    """
+    header_size = len(MAGIC) + _HEADER.size
+    if len(data) < header_size or data[: len(MAGIC)] != MAGIC:
+        raise TraceCodecError("not a significance-compressed trace: %s" % path)
+    version, meta_length = _HEADER.unpack_from(data, len(MAGIC))
+    if version != CODEC_VERSION:
+        raise TraceCodecError(
+            "codec version %d != supported %d" % (version, CODEC_VERSION)
+        )
+    meta_end = header_size + meta_length
+    if len(data) < meta_end + _CRC.size:
+        raise TraceCodecError("truncated header in %s" % path)
+    try:
+        meta = json.loads(data[header_size:meta_end].decode("utf-8"))
+    except ValueError:
+        raise TraceCodecError("corrupt meta block in %s" % path)
+    if not isinstance(meta, dict) or "records" not in meta:
+        raise TraceCodecError("meta block missing record count in %s" % path)
+    return meta, meta_end
+
+
 def read_meta(path):
     """Read and validate only the header of a trace file (cheap).
 
@@ -404,140 +418,30 @@ def read_meta(path):
     record.  Raises :class:`TraceCodecError` on a damaged header.
     """
     with open(path, "rb") as handle:
-        header = handle.read(len(MAGIC) + _HEADER.size)
-        if len(header) < len(MAGIC) + _HEADER.size or header[: len(MAGIC)] != MAGIC:
-            raise TraceCodecError("bad or truncated header in %s" % path)
-        version, meta_length = _HEADER.unpack(header[len(MAGIC) :])
-        if version != CODEC_VERSION:
-            raise TraceCodecError(
-                "codec version %d != supported %d" % (version, CODEC_VERSION)
-            )
-        meta_blob = handle.read(meta_length)
-        if len(meta_blob) != meta_length:
-            raise TraceCodecError("truncated meta block in %s" % path)
-        try:
-            meta = json.loads(meta_blob.decode("utf-8"))
-        except ValueError:
-            raise TraceCodecError("corrupt meta block in %s" % path)
-    if not isinstance(meta, dict) or "records" not in meta:
-        raise TraceCodecError("meta block missing record count in %s" % path)
-    return meta
-
-
-def map_payload(path):
-    """Open and verify a trace file; returns ``(payload, meta, close)``.
-
-    ``payload`` is a zero-copy memoryview over an mmap of the file (a
-    plain ``bytes`` object when the platform refuses to map it), with
-    the container fully validated up front exactly as :func:`load_trace`
-    does: magic, codec version, meta JSON and the payload CRC-32 are all
-    checked before a single record byte is trusted.  Structural damage
-    *inside* the payload is only detectable record by record — that is
-    the decoder's job.
-
-    ``close`` releases the view and unmaps the file; callers must invoke
-    it once they are done with ``payload`` (both :func:`load_trace` and
-    :func:`iter_records` do).
-    """
-    handle = open(path, "rb")
-    mapped = None
-    views = []
-
-    def close():
-        while views:
-            views.pop().release()
-        if mapped is not None:
-            mapped.close()
-        handle.close()
-
-    try:
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            mapped = None  # unmappable (empty file, exotic fs): read instead
-        if mapped is not None:
-            data = memoryview(mapped)
-            views.append(data)
-        else:
-            data = handle.read()
-        header_size = len(MAGIC) + _HEADER.size
-        if len(data) < header_size or bytes(data[: len(MAGIC)]) != MAGIC:
-            raise TraceCodecError(
-                "not a significance-compressed trace: %s" % path
-            )
-        version, meta_length = _HEADER.unpack(data[len(MAGIC) : header_size])
-        if version != CODEC_VERSION:
-            raise TraceCodecError(
-                "codec version %d != supported %d" % (version, CODEC_VERSION)
-            )
-        meta_end = header_size + meta_length
-        crc_end = meta_end + _CRC.size
-        if len(data) < crc_end:
-            raise TraceCodecError("truncated header in %s" % path)
-        try:
-            meta = json.loads(bytes(data[header_size:meta_end]).decode("utf-8"))
-        except ValueError:
-            raise TraceCodecError("corrupt meta block in %s" % path)
-        if not isinstance(meta, dict) or "records" not in meta:
-            raise TraceCodecError(
-                "meta block missing record count in %s" % path
-            )
-        (crc,) = _CRC.unpack(data[meta_end:crc_end])
-        payload = data[crc_end:]
-        if isinstance(payload, memoryview):
-            views.append(payload)
-        if zlib.crc32(payload) != crc:
-            raise TraceCodecError("payload checksum mismatch in %s" % path)
-        return payload, meta, close
-    except BaseException:
-        close()
-        raise
+        data = handle.read(len(MAGIC) + _HEADER.size)
+        if len(data) == len(MAGIC) + _HEADER.size:
+            _version, meta_length = _HEADER.unpack_from(data, len(MAGIC))
+            data += handle.read(meta_length + _CRC.size)
+    return _parse_container(data, path)[0]
 
 
 def load_trace(path):
     """Read, verify and decode a trace file; returns ``(records, meta)``.
 
-    Any damage — wrong magic, version skew, truncation, CRC mismatch,
-    undecodable records — raises :class:`TraceCodecError` so callers can
-    fall back to re-simulation.
+    The file is read once; the container (magic, version, meta, payload
+    CRC-32) is checked before any record is trusted.  Any damage — wrong
+    magic, version skew, truncation, CRC mismatch, undecodable records —
+    raises :class:`TraceCodecError` so callers can fall back to
+    re-simulation.
     """
-    payload, meta, close = map_payload(path)
-    try:
-        with tracing.span(
-            "trace.decode", "compute", path=str(path),
-            records=int(meta["records"]),
-        ):
-            records = decode_records(payload, int(meta["records"]))
-    finally:
-        close()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    meta, meta_end = _parse_container(data, path)
+    (crc,) = _CRC.unpack_from(data, meta_end)
+    start = meta_end + _CRC.size
+    if zlib.crc32(memoryview(data)[start:]) != crc:
+        raise TraceCodecError("payload checksum mismatch in %s" % path)
+    count = int(meta["records"])
+    with tracing.span("trace.decode", "compute", path=str(path), records=count):
+        records = decode_records(data, count, start)
     return records, meta
-
-
-def iter_records(path):
-    """Decode a trace file record by record (generator form of
-    :func:`load_trace`, without the list).
-
-    Single-pass consumers — the fused trace walkers, throughput tools —
-    use this to stream millions of records out of the compressed file
-    through the mmap-backed payload view of :func:`map_payload` without
-    ever materializing the full record list.
-
-    Validation is the same fail-closed story as :func:`load_trace`: the
-    container (magic, version, meta, CRC) is verified before the first
-    record is yielded, and structural damage inside the payload raises
-    :class:`TraceCodecError` at the damaged record.  A stream that
-    raises mid-iteration must be treated as poisoned: discard any state
-    accumulated from it and fall back to re-simulation.
-
-    Note the generator is lazy — the file is opened (and the container
-    checked) at the first ``next()``, not at the call.
-    """
-    payload, meta, close = map_payload(path)
-    try:
-        yield from tracing.traced_iteration(
-            "trace.stream", "compute",
-            iter_decode_records(payload, int(meta["records"])),
-            path=str(path),
-        )
-    finally:
-        close()

@@ -148,9 +148,9 @@ def _activity_units(*configs):
 def _walk_units(*specs):
     """Builder: one WalkUnit per (workload, walker spec).
 
-    The session's broker fuses every pending walk unit for the same
-    trace into one streaming decode pass, so declaring several specs
-    (or sharing one across experiments) costs one decode, not several.
+    The session's broker reduces every pending walk unit for the same
+    trace from one trace summary, so declaring several specs (or
+    sharing one across experiments) costs one decode, not several.
     """
 
     def build(workloads, scale):
@@ -499,8 +499,8 @@ def _run_segmentation_ablation(workloads=None, scale=1, store=None):
 #: (id, description, runner, alias_of, units) — the declarative source
 #: of truth.  ``units`` names the fine-grained analysis units the runner
 #: requests; the trace-walking studies (table1, table2, table3, the
-#: value-level ablations) declare walk units, which the session fuses
-#: into one streaming decode pass per trace.
+#: value-level ablations) declare walk units, which the session reduces
+#: from one trace summary per trace.
 _SPEC_TABLE = (
     ("table1", "Table 1: significant-byte pattern frequencies", _run_table1,
      None, _walk_units(PATTERN_WALK)),

@@ -31,15 +31,14 @@ in-memory broker.
 The scheduling unit is one *trace*: every pending unit over one
 ``(workload, scale)`` forms one :class:`TraceTask`, which gets its trace
 at most once, computes every unit — simulations and activity passes on
-the record list, then all walkers from the one trace summary
-(:meth:`~repro.study.session.TraceStore.summary`, streamed from disk
-when nothing else needed the records) — and releases the trace before
-the next task starts.  Serial runs, ``--jobs N`` workers and the
-supervisor's quarantine path all execute the same task, so a batch
-holds at most one trace per process, and a fully warm run touches
-no trace at all — zero decodes, zero walks.  Because every unit is
-deterministic, study reports reassemble byte-identically regardless of
-scheduling.
+the record list, then all walkers from the one summary of that list
+(:meth:`~repro.pipeline.kernel.TraceColumns.summary`) — and releases
+the trace before the next task starts.  Serial runs, ``--jobs N``
+workers and the supervisor's quarantine path all execute the same task,
+so a batch holds at most one trace per process, and a fully warm run
+touches no trace at all — zero decodes, zero walks.  Because every
+unit is deterministic, study reports reassemble byte-identically
+regardless of scheduling.
 """
 
 import multiprocessing
@@ -546,11 +545,9 @@ class ResultBroker:
         """Compute one :class:`TraceTask`, then release its trace.
 
         Returns ``[(result, sim seconds or None), ...]`` in unit order.
-        The non-walk units compute first, so a task that simulates
-        resolves the record list once and its walkers reduce the summary
-        of that list; a walk-only task streams the trace into the
-        summary instead.  Counter-free, so forked workers run exactly
-        this.
+        The non-walk units compute first; every unit, walkers included,
+        reads the one record list the task resolves.  Counter-free, so
+        forked workers run exactly this.
         """
         workload = self._workloads[task.workload]
         timed = {}
@@ -579,10 +576,10 @@ class ResultBroker:
 
     def _shipped_compute(self, task):
         # Runs in a forked worker.  The task resolves its own trace there
-        # (simulating, decoding or streaming it), and the worker's
-        # counters and spans die with it: ship the registry delta
-        # (snapshot → diff) and the recorded events back alongside the
-        # results so the parent's report stays truthful.
+        # (simulating or decoding it), and the worker's counters and
+        # spans die with it: ship the registry delta (snapshot → diff)
+        # and the recorded events back alongside the results so the
+        # parent's report stays truthful.
         before = self.registry.snapshot()
         tracer = tracing.current_tracer()
         mark = tracer.event_count() if tracer is not None else 0
@@ -656,10 +653,8 @@ class ResultBroker:
     def _walk_group(self, workload, scale, units):
         """Reduce the trace's summary with every walker in ``units``.
 
-        The summary is the held columns' one when the task already
-        resolved the record list, else one streaming pass over the
-        persistent cache's compressed file (see
-        :meth:`~repro.study.session.TraceStore.summary`).  Returns
+        The summary is the one the trace's columns build (or already
+        hold, when the task's other units resolved the trace).  Returns
         payload data dicts in unit order.
         """
         with tracing.span(
@@ -667,7 +662,7 @@ class ResultBroker:
             workload=workload.name, scale=scale, walkers=len(units),
             specs=[unit.slug() for unit in units],
         ) as handle:
-            summary = self.traces.summary(workload, scale=scale)
+            summary = self.traces.columns(workload, scale=scale).summary()
             handle.note(records=summary.records)
             payloads = []
             for unit in units:

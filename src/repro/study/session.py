@@ -26,16 +26,14 @@ with a warm persistent :class:`~repro.study.result_store.ResultStore`
 
 Traces are resolved lazily, by the units that actually compute: the
 broker schedules one task per pending ``(workload, scale)``, which
-resolves its trace at most once — walk-only tasks stream records
-straight from the compressed cache files into the trace summary
-(:meth:`TraceStore.summary`) — and releases it when the task ends, so
-a batch holds at most one trace's records per process and a fully warm
-run touches no trace at all — zero decodes, zero simulations, zero
-walks.  The experiment
-runners then execute one after another in request order: each only
-reads the results its spec declared, which the broker already
-memoized, so the experiment phase computes nothing and ``--jobs N``
-output is byte-identical to a serial run.
+resolves its trace at most once (:meth:`TraceStore.trace`) and releases
+it when the task ends, so a batch holds at most one trace's records per
+process and a fully warm run touches no trace at all — zero decodes,
+zero simulations, zero walks.  The experiment runners then execute
+one after another in request order: each only reads the results its
+spec declared, which the broker already memoized, so the experiment
+phase computes nothing and ``--jobs N`` output is byte-identical to a
+serial run.
 
 This module deliberately imports :mod:`repro.study.experiments` and
 :mod:`repro.study.scheduler` lazily: the scheduler imports
@@ -49,8 +47,6 @@ from collections import namedtuple
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, format_workload_scale
 from repro.pipeline.kernel import TraceColumns
-from repro.pipeline.trace_summary import summarize
-from repro.sim.tracefile import TraceCodecError
 from repro.workloads import mediabench_suite
 
 
@@ -104,19 +100,13 @@ class TraceStore:
             "traces fully decoded from the persistent cache",
             key=format_workload_scale,
         )
-        #: (workload name, scale) -> number of disk streaming passes.
-        self.stream_hits = self.registry.counter(
-            "trace_stream_hits",
-            "single-pass streams served from the persistent cache",
-            key=format_workload_scale,
-        )
         #: (workload name, scale) -> number of record-production events:
-        #: every simulation, full decode or streaming pass counts one;
-        #: serving the already in-memory list counts nothing.  A fully
-        #: warm ``repro all`` reports an empty dict — zero decodes.
+        #: every simulation or full decode counts one; serving the
+        #: already in-memory list counts nothing.  A fully warm
+        #: ``repro all`` reports an empty dict — zero decodes.
         self.decode_misses = self.registry.counter(
             "trace_decode_misses",
-            "record-production events (simulate, decode or stream)",
+            "record-production events (simulate or decode)",
             key=format_workload_scale,
         )
 
@@ -163,28 +153,6 @@ class TraceStore:
         self.trace(workload, scale=scale)
         return self._traces[(workload.name, scale)]
 
-    def summary(self, workload, scale=1):
-        """The trace's :class:`~repro.pipeline.trace_summary.TraceSummary`.
-
-        A held trace's columns build (or hold) it; otherwise a
-        persistent-cache entry is streamed straight into it, with no
-        record list.  Without an entry, or when the entry proves damaged
-        mid-stream (the cache removes it), the trace is materialized
-        through :meth:`columns` and its usual counters and write-back.
-        """
-        key = (workload.name, scale)
-        self._claim(workload)
-        if key not in self._traces and self.cache is not None:
-            stream = self.cache.stream(workload, scale=scale)
-            if stream is not None:
-                self.stream_hits.inc(key)
-                self.decode_misses.inc(key)
-                try:
-                    return summarize(stream, format_workload_scale(key))
-                except TraceCodecError:
-                    pass
-        return self.columns(workload, scale=scale).summary()
-
     def times_materialized(self, name, scale=1):
         """How often the named trace was actually built (0 if never)."""
         return self.materializations.get((name, scale), 0)
@@ -212,7 +180,6 @@ class TraceStore:
         self._owners.clear()
         self.materializations.clear()
         self.disk_hits.clear()
-        self.stream_hits.clear()
         self.decode_misses.clear()
 
     def __len__(self):
@@ -456,10 +423,9 @@ class ExperimentSession:
                 "%s@%d" % key: count
                 for key, count in sorted(self.store.disk_hits.items())
             },
-            "trace_stream_hits": {
-                "%s@%d" % key: count
-                for key, count in sorted(self.store.stream_hits.items())
-            },
+            # Frozen schema (docs/CLI.md): traces leave disk only by full
+            # decode, counted in trace_disk_hits, so this is always empty.
+            "trace_stream_hits": {},
             "decode_misses": {
                 "%s@%d" % key: count
                 for key, count in sorted(self.store.decode_misses.items())

@@ -259,44 +259,6 @@ class TraceCache:
 
     # ------------------------------------------------------------- protocol
 
-    def stream(self, workload, scale=1):
-        """A record-stream generator for the trace, or ``None`` on a miss.
-
-        The stream decodes straight from the compressed file
-        (:func:`repro.sim.tracefile.iter_records`), never building the
-        record list.  Damage fails closed exactly like :meth:`load` —
-        the entry is deleted — but, because decoding is incremental, the
-        :class:`~repro.sim.tracefile.TraceCodecError` may surface at any
-        point of the iteration; consumers must treat a stream that
-        raises as poisoned and re-derive their state from a fresh trace.
-        """
-        key = (workload.name, scale)
-        path = self.path_for(workload, scale)
-        if not os.path.isfile(path):
-            self.misses[key] = self.misses.get(key, 0) + 1
-            return None
-        self.hits[key] = self.hits.get(key, 0) + 1
-        return self._stream(path, key)
-
-    def _stream(self, path, key):
-        try:
-            if faults.fire("cache.stream", key=os.path.basename(path)):
-                raise tracefile.TraceCodecError(
-                    "injected stream fault: %s" % path
-                )
-            for record in tracefile.iter_records(path):
-                yield record
-        except (tracefile.TraceCodecError, OSError, ValueError) as error:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.hits[key] = self.hits.get(key, 0) - 1
-            self.misses[key] = self.misses.get(key, 0) + 1
-            raise tracefile.TraceCodecError(
-                "streaming decode of %s failed: %s" % (path, error)
-            )
-
     def load(self, workload, scale=1):
         """Decoded records for the workload's trace, or ``None`` on a miss.
 

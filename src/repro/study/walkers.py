@@ -6,12 +6,11 @@ scheme/granularity value-level ablations, the static scheme's execution
 counts — each reduce one ``(workload, scale)`` trace to a JSON-able
 payload with one :meth:`TraceWalker.reduce` over the trace's
 :class:`~repro.pipeline.trace_summary.TraceSummary`, which the broker's
-task for the trace builds once (streamed from disk when nothing else
-needed the record list).  Payloads merge per workload into the original
-suite-level numbers *exactly* (byte-identical report text is the
-contract), persist in the result store (kind ``walk``), and match the
-original per-record reducers kept as the test oracle in
-``tests/oracles/reference_walkers.py``.
+task for the trace builds once from its record list.  Payloads merge
+per workload into the original suite-level numbers *exactly*
+(byte-identical report text is the contract), persist in the result
+store (kind ``walk``), and match the original per-record reducers kept
+as the test oracle in ``tests/oracles/reference_walkers.py``.
 
 Walkers are *declared* by spec tuples — ``("patterns", True)``,
 ``("pc", (1, 2, 4, 8, 16, 32))``, ``("scheme_bits", ("byte2", ...))``,

@@ -28,7 +28,6 @@ from repro.obs.faults import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import tracefile
-from repro.sim.tracefile import TraceCodecError
 from repro.study.result_store import ResultStore
 from repro.study.scheduler import AnalysisUnit
 from repro.study.session import ExperimentSession
@@ -172,8 +171,8 @@ class TestFaultModes:
             injector.fire("worker.task", key="unit#1")
 
     def test_corrupt_returns_mode_for_the_call_site(self):
-        injector = FaultInjector.parse("cache.stream:corrupt@1.0")
-        assert injector.fire("cache.stream", key="entry") == "corrupt"
+        injector = FaultInjector.parse("trace.decode:corrupt@1.0")
+        assert injector.fire("trace.decode", key="entry") == "corrupt"
 
     def test_unarmed_point_passes(self):
         injector = FaultInjector.parse("store.write:eio@1.0")
@@ -419,19 +418,6 @@ class TestDegradedTraceCache:
         assert cache.store(workload, 1, self._records()) is None
         assert dict(cache.write_failures) == {"trace_cache": WRITE_ATTEMPTS}
         assert list(tmp_path.iterdir()) == []
-
-    def test_stream_corruption_fails_closed(self, tmp_path):
-        cache = TraceCache(str(tmp_path))
-        workload = get_workload("synth_small")
-        records = self._records()
-        assert cache.store(workload, 1, records) is not None
-        faults.install_spec("cache.stream:corrupt@1.0")
-        stream = cache.stream(workload, 1)
-        with pytest.raises(TraceCodecError):
-            list(stream)
-        # Fail-closed: the (supposedly rotten) entry is gone, so the
-        # next consumer re-materializes instead of re-reading damage.
-        assert not os.path.isfile(cache.path_for(workload, 1))
 
     def test_decode_corruption_counts_as_miss(self, tmp_path):
         cache = TraceCache(str(tmp_path))

@@ -189,10 +189,10 @@ class TestSummaryPass:
             "trace": "synth_small@1", "records": len(records),
         }
 
-    def test_damaged_stream_falls_back_with_one_summary_span(self, tmp_path):
-        # A CRC-valid but truncated cache entry raises mid-stream: the
-        # store drops the partial summary, materializes the trace, and
-        # the timeline shows one summary pass, over every record.
+    def test_damaged_entry_falls_back_with_one_summary_span(self, tmp_path):
+        # A CRC-valid but truncated cache entry fails its decode: the
+        # store materializes the trace once, and the timeline shows one
+        # summary pass, over every record.
         workload = get_workload("synth_small")
         records = workload.trace()
         cache = TraceCache(str(tmp_path))
@@ -202,7 +202,7 @@ class TestSummaryPass:
         previous = tracing.current_tracer()
         tracer = tracing.start_trace()
         try:
-            summary = store.summary(workload)
+            summary = store.columns(workload).summary()
         finally:
             tracing.set_tracer(previous)
         spans = [

@@ -1,25 +1,27 @@
-"""Tests for the streaming trace decode and the fused walk-unit layer.
+"""Tests for the trace decode and the fused walk-unit layer.
 
 Three contracts from the subsystem's design:
 
-* the streaming decoder yields records byte-for-byte equal to the full
-  list decoder, on every suite workload, and fails closed mid-stream on
-  damage;
+* the codec round-trips: ``load_trace`` of a dumped trace gives back
+  the records, field for field, on every suite workload and on
+  generated MiniC programs, and fails closed on damage;
 * the walk studies are exact: walker payloads merged per workload
   reproduce the original sequential suite walks byte-identically, cold,
   disk-warm and fused;
 * the scheduler's fusion invariant: a cold ``repro all`` decodes each
-  trace at most once for every walk study combined, the fused path
-  never materializes a record list when it can stream, and a fully warm
-  run performs zero decodes and zero walks.
+  trace at most once for every walk study combined, a walk-only run on
+  a trace-warm cache decodes each trace once from disk, and a fully
+  warm run performs zero decodes and zero walks.
 """
 
-import itertools
 import json
+import os
 
 import pytest
+from hypothesis import given, seed, settings
 
 from repro.cli import main
+from repro.minic import compile_program
 from repro.obs import tracing
 from repro.sim import tracefile
 from repro.study import pc_study
@@ -34,6 +36,9 @@ from repro.study.walkers import (
 )
 from repro.workloads import get_workload, mediabench_suite
 
+from test_activity_model import MINIC_TEMPLATE, trace_program
+from test_minic_properties import expr_trees
+
 FAST = ("synth_small", "synth_stride")
 
 #: Every experiment backed by walk units.
@@ -47,7 +52,7 @@ def _fast_workloads():
 def _write_structurally_truncated(path, records):
     """A trace file whose CRC is valid but whose payload lies: half the
     record stream, re-checksummed.  Only the record-level validation can
-    catch it — mid-stream."""
+    catch it."""
     import struct
     import zlib
 
@@ -64,71 +69,71 @@ def _write_structurally_truncated(path, records):
         handle.write(half)
 
 
+def _round_trip(directory, records):
+    """``load_trace`` of ``records`` dumped into ``directory``."""
+    path = str(directory / "round.trace")
+    tracefile.dump_trace(path, records)
+    loaded, meta = tracefile.load_trace(path)
+    assert meta["records"] == len(records)
+    return loaded
+
+
 @pytest.fixture()
 def trace_file(tmp_path):
     records = get_workload("synth_small").trace()
-    path = str(tmp_path / "stream.trace")
+    path = str(tmp_path / "decode.trace")
     tracefile.dump_trace(path, records)
     return path, records
 
 
-class TestStreamingDecoder:
+class TestTraceDecode:
     @pytest.mark.parametrize(
         "workload_name", [workload.name for workload in mediabench_suite()]
     )
-    def test_stream_equals_list_on_every_suite_workload(
-        self, tmp_path, workload_name
-    ):
+    def test_round_trip_on_every_suite_workload(self, tmp_path, workload_name):
         records = get_workload(workload_name).trace()
-        path = str(tmp_path / ("%s.trace" % workload_name))
-        tracefile.dump_trace(path, records)
-        loaded, _meta = tracefile.load_trace(path)
-        streamed = list(tracefile.iter_records(path))
-        assert streamed == loaded
-        assert streamed == records  # record-by-record, field-wise
+        # Record by record, field-wise.
+        assert _round_trip(tmp_path, records) == records
 
-    def test_stream_is_lazy_not_a_list(self, trace_file):
-        path, records = trace_file
-        stream = tracefile.iter_records(path)
-        head = list(itertools.islice(stream, 5))
-        assert head == records[:5]
-        stream.close()  # abandoning mid-iteration releases the mmap
+    @seed(20021)
+    @settings(max_examples=6, deadline=None)
+    @given(expr_trees(depth=3), expr_trees(depth=3))
+    def test_round_trip_on_generated_programs(
+        self, tmp_path_factory, start, factor
+    ):
+        source = MINIC_TEMPLATE % (start[0], factor[0])
+        records = trace_program(compile_program(source))
+        directory = tmp_path_factory.mktemp("generated")
+        assert _round_trip(directory, records) == records
 
-    def test_truncated_file_fails_closed(self, trace_file):
-        path, _records = trace_file
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) - 7])
-        with pytest.raises(tracefile.TraceCodecError):
-            list(tracefile.iter_records(path))
-
-    def test_bit_rot_fails_closed_before_first_record(self, trace_file):
-        # Payload CRC is verified up front, so corruption anywhere —
-        # even in the last record — raises before a record is yielded.
+    def test_bit_rot_fails_closed(self, trace_file):
+        # The payload CRC is verified before decoding, so corruption
+        # anywhere — even in the last record — is caught.
         path, _records = trace_file
         blob = bytearray(open(path, "rb").read())
         blob[-1] ^= 0x40
         open(path, "wb").write(bytes(blob))
-        stream = tracefile.iter_records(path)
-        with pytest.raises(tracefile.TraceCodecError):
-            next(stream)
+        with pytest.raises(tracefile.TraceCodecError, match="checksum"):
+            tracefile.load_trace(path)
 
-    def test_structural_damage_raises_mid_stream(self, trace_file):
+    def test_structural_damage_fails_closed(self, trace_file):
         # A payload that passes its CRC but lies structurally must still
-        # fail — at the damaged record, not by silently under-yielding.
+        # fail, not decode to a shorter trace.
         path, records = trace_file
         _write_structurally_truncated(path, records)
-        consumed = 0
         with pytest.raises(tracefile.TraceCodecError):
-            for _record in tracefile.iter_records(path):
-                consumed += 1
-        assert 0 < consumed < len(records)
+            tracefile.load_trace(path)
 
-    def test_map_payload_closes_cleanly(self, trace_file):
-        path, _records = trace_file
-        payload, meta, close = tracefile.map_payload(path)
-        assert int(meta["records"]) > 0
-        assert len(payload) == int(meta["payload_bytes"])
-        close()
+    def test_cache_drops_a_structurally_damaged_entry(self, tmp_path):
+        workload = get_workload("synth_small")
+        cache = TraceCache(str(tmp_path))
+        records = workload.trace()
+        path = cache.store(workload, 1, records)
+        _write_structurally_truncated(path, records)
+        assert cache.load(workload, 1) is None
+        assert cache.misses == {(workload.name, 1): 1}
+        assert cache.hits == {}
+        assert not os.path.isfile(path)
 
 
 class TestWalkerEnvelope:
@@ -182,7 +187,7 @@ class TestWalkStudyExactness:
         assert len(store.decode_misses) == len(workloads)
 
     def test_walk_experiments_match_pre_walker_output(self, tmp_path):
-        # Byte-identical report text: storeless (direct streaming),
+        # Byte-identical report text: storeless (direct),
         # broker-fused cold, and result-store warm must all agree.
         from repro.study.experiments import run_experiment
 
@@ -217,34 +222,41 @@ class TestFusedScheduling:
         # pc_exec) computed, every re-request memo-served.
         assert sum(session.results.walk_misses.values()) == 5 * len(FAST)
 
-    def test_fused_path_streams_without_materializing(self, tmp_path):
-        # Warm trace cache + cold result store: the fused pass must
-        # stream from the compressed files and never build a record
-        # list in the TraceStore.
-        seed = ExperimentSession(
+    def test_walk_only_run_decodes_each_trace_once(self, tmp_path):
+        # Warm trace cache + cold result store: a walk-only run decodes
+        # each trace once from disk, summarizes it once, simulates
+        # nothing and releases every record list.
+        warmup = ExperimentSession(
             workloads=_fast_workloads(), cache_dir=str(tmp_path)
         )
-        seed.prepare()
+        warmup.prepare()
         session = ExperimentSession(
             workloads=[get_workload(name) for name in FAST],
             store=TraceStore(cache=TraceCache(str(tmp_path))),
         )
         for workload in session.workloads:
             workload.clear_cache()
-        session.run(WALK_IDS)
-        assert len(session.store) == 0  # no full list, ever
+        previous = tracing.current_tracer()
+        tracer = tracing.start_trace()
+        try:
+            session.run(WALK_IDS)
+        finally:
+            tracing.set_tracer(previous)
+        assert len(session.store) == 0  # released at the end of each task
         assert session.store.materializations == {}
-        assert all(
-            count == 1 for count in session.store.stream_hits.values()
-        ), session.store.stream_hits
-        assert all(
-            count == 1 for count in session.store.decode_misses.values()
+        expected = {(name, 1): 1 for name in FAST}
+        assert session.store.disk_hits == expected, session.store.disk_hits
+        assert session.store.decode_misses == expected
+        summaries = sorted(
+            event["args"]["trace"] for event in tracer.events
+            if event["name"] == "columns.summary"
         )
+        assert summaries == ["%s@1" % name for name in sorted(FAST)]
 
-    def test_damaged_cache_entry_mid_stream_falls_back(self, tmp_path):
-        # CRC-valid but structurally truncated entry: the stream raises
-        # mid-pass, the poisoned walkers are rebuilt, and the study
-        # output still matches a clean run.
+    def test_damaged_cache_entry_falls_back(self, tmp_path):
+        # CRC-valid but structurally truncated entry: the decode fails
+        # closed, the trace is re-simulated, and the study output still
+        # matches a clean run.
         workload = get_workload("synth_small")
         cache = TraceCache(str(tmp_path))
         records = workload.trace()
@@ -285,14 +297,14 @@ class TestFusedScheduling:
         assert parallel_text == serial_text
 
     def test_forked_walk_groups_ship_decode_counters_back(self, tmp_path):
-        # A walk group streaming inside a forked worker performs real
-        # decode work; the worker's TraceStore counters die with the
-        # pool, so the deltas must ride back with the results or a
-        # parallel walk-only run would falsely report zero decodes.
-        seed = ExperimentSession(
+        # A walk group decoding inside a forked worker performs real
+        # work; the worker's TraceStore counters die with the pool, so
+        # the deltas must ride back with the results or a parallel
+        # walk-only run would falsely report zero decodes.
+        warmup = ExperimentSession(
             workloads=_fast_workloads(), cache_dir=str(tmp_path)
         )
-        seed.prepare()
+        warmup.prepare()
         session = ExperimentSession(
             workloads=[get_workload(name) for name in FAST],
             store=TraceStore(cache=TraceCache(str(tmp_path))),
@@ -300,13 +312,13 @@ class TestFusedScheduling:
         for workload in session.workloads:
             workload.clear_cache()
         session.run(WALK_IDS, jobs=4)
-        assert session.store.stream_hits == {
+        assert session.store.disk_hits == {
             (name, 1): 1 for name in FAST
-        }, session.store.stream_hits
+        }, session.store.disk_hits
         assert all(
             count == 1 for count in session.store.decode_misses.values()
         )
-        assert len(session.store) == 0  # streamed in workers, no lists
+        assert len(session.store) == 0  # decoded in workers, not here
 
     def test_walk_units_persist_and_report_by_kind(self, tmp_path, capsys):
         args = [
@@ -340,7 +352,6 @@ class TestFusedScheduling:
         assert sum(cold["walk_misses"].values()) > 0
         assert warm["walk_misses"] == {}
         assert warm["decode_misses"] == {}
-        assert warm["trace_stream_hits"] == {}
         assert [e["text"] for e in warm["experiments"]] == [
             e["text"] for e in cold["experiments"]
         ]

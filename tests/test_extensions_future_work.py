@@ -18,6 +18,12 @@ from repro.sim.hierarchy import HierarchyConfig
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
+#: Uniform, non-uniform, sub-byte and single-split segmentations.
+SEGMENTATIONS = (
+    (8, 8, 8, 8), (8, 4, 4, 16), (8, 8, 16), (16, 8, 8), (4, 4, 8, 16),
+    (8, 24), (8, 4, 4, 8, 8), (32,),
+)
+
 
 def trace_of(source):
     program = assemble(source)
@@ -138,6 +144,32 @@ class TestSegmentedScheme:
     @given(u32, st.sampled_from([(8, 4, 4, 16), (8, 8, 16), (16, 8, 8), (4, 4, 8, 16), (8, 24)]))
     def test_roundtrip_non_uniform(self, value, segments):
         assert SegmentedScheme(segments).reconstruct(value) == value
+
+    @settings(max_examples=300)
+    @given(u32, st.sampled_from(SEGMENTATIONS))
+    def test_mask_matches_per_segment_definition(self, value, segments):
+        # A segment is an extension iff it is all copies of the sign bit
+        # of the segment below it; the low segment is always stored.
+        expected = [True]
+        position = segments[0]
+        for width in segments[1:]:
+            sign = (value >> (position - 1)) & 1
+            field = (value >> position) & ((1 << width) - 1)
+            expected.append(field != (((1 << width) - 1) if sign else 0))
+            position += width
+        assert SegmentedScheme(segments).significant_mask(value) == tuple(expected)
+
+    @settings(max_examples=300)
+    @given(u32, st.sampled_from(SEGMENTATIONS))
+    def test_datapath_bits_sums_significant_widths(self, value, segments):
+        scheme = SegmentedScheme(segments)
+        mask = scheme.significant_mask(value)
+        assert scheme.datapath_bits(value) == sum(
+            width for width, significant in zip(segments, mask) if significant
+        )
+        assert scheme.stored_bits(value) == (
+            scheme.datapath_bits(value) + len(segments) - 1
+        )
 
     @given(u32)
     def test_finer_segmentation_never_stores_more(self, value):

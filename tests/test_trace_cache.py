@@ -131,6 +131,55 @@ class TestTraceFile:
         with pytest.raises(TraceCodecError):
             load_trace(path)
 
+    def test_read_meta_agrees_with_load_trace(self, tmp_path, trace_records):
+        path = tmp_path / "t.trace"
+        stored = dump_trace(path, trace_records, meta={"workload": "synth_small"})
+        _records, loaded = load_trace(path)
+        assert tracefile.read_meta(path) == loaded == stored
+        # The header alone is enough for read_meta: a file cut inside
+        # the payload still reports its meta, but never decodes.
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - stored["payload_bytes"] // 2])
+        assert tracefile.read_meta(path) == stored
+        with pytest.raises(TraceCodecError):
+            load_trace(path)
+
+    def test_every_container_cut_fails_closed(self, tmp_path, trace_records):
+        path = tmp_path / "t.trace"
+        stored = dump_trace(path, trace_records)
+        blob = path.read_bytes()
+        header = len(tracefile.MAGIC) + 6  # magic, u16 version, u32 length
+        crc_at = len(blob) - stored["payload_bytes"] - 4
+        cuts = {
+            "magic": 2,
+            "header": header - 1,
+            "meta": (header + crc_at) // 2,
+            "crc": crc_at + 2,
+            "payload": crc_at + 4 + stored["payload_bytes"] // 2,
+        }
+        for part, cut in cuts.items():
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TraceCodecError):
+                load_trace(path)
+            if part != "payload":  # the payload is not read_meta's to check
+                with pytest.raises(TraceCodecError):
+                    tracefile.read_meta(path)
+
+    def test_meta_without_record_count_rejected(self, tmp_path, trace_records):
+        path = tmp_path / "t.trace"
+        dump_trace(path, trace_records)
+        blob = path.read_bytes()
+        header = len(tracefile.MAGIC) + 6
+        meta_length = int.from_bytes(blob[header - 4 : header], "little")
+        meta = json.loads(blob[header : header + meta_length])
+        del meta["records"]
+        # Pad to the original length so only the missing key is wrong.
+        forged = json.dumps(meta).encode("utf-8").ljust(meta_length)
+        path.write_bytes(blob[:header] + forged + blob[header + meta_length :])
+        for reader in (load_trace, tracefile.read_meta):
+            with pytest.raises(TraceCodecError, match="record count"):
+                reader(path)
+
     def test_version_skew_rejected(self, tmp_path, trace_records, monkeypatch):
         path = tmp_path / "t.trace"
         dump_trace(path, trace_records)

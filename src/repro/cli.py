@@ -46,9 +46,11 @@ import signal
 import sys
 
 from repro.obs import faults, runlog, tracing
+from repro.study.disk_store import remove_stray_temp_files, stray_temp_files
 from repro.study.experiments import EXPERIMENTS
 from repro.study.result_store import ResultStore
 from repro.study.session import ExperimentSession
+from repro.study.supervisor import sigterm_to_exit
 from repro.study.trace_cache import ENV_CACHE_DIR, TraceCache, default_cache_dir
 from repro.workloads import all_workloads
 
@@ -279,16 +281,6 @@ def build_analyze_parser():
     return parser
 
 
-def _sigterm_to_exit(signum, frame):
-    """Convert SIGTERM into SystemExit so ``finally`` blocks run.
-
-    An in-flight store write then unlinks its temp file (both stores
-    write inside try/finally), and the process still exits with the
-    conventional ``128 + SIGTERM`` status.
-    """
-    raise SystemExit(128 + signum)
-
-
 def _arm_run(args):
     """Arm fault injection and graceful SIGTERM for one CLI run.
 
@@ -311,7 +303,7 @@ def _arm_run(args):
     installed_handler = False
     try:
         if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
-            signal.signal(signal.SIGTERM, _sigterm_to_exit)
+            signal.signal(signal.SIGTERM, sigterm_to_exit)
             installed_handler = True
     except ValueError:  # not the main thread: keep the default behaviour
         pass
@@ -562,7 +554,10 @@ def _cache_run(args):
         return 2
     cache = TraceCache(cache_dir)
     results = ResultStore(cache_dir)
+    # A killed run-log writer's temp file, swept with the stores' own.
+    runs_dir = runlog.runs_dir(cache_dir)
     if args.action == "clear":
+        remove_stray_temp_files(runs_dir)
         # No selector means both; either flag narrows the clear to it.
         clear_traces = args.traces or not args.results
         clear_results = args.results or not args.traces
@@ -580,13 +575,13 @@ def _cache_run(args):
         return 0
     with tracing.span("cache.info", "session", dir=cache_dir):
         info = cache.info()
+        info["temp_files"] += len(stray_temp_files(runs_dir))
         result_info = results.info()
         runs_info = runlog.list_runs(cache_dir)
     if args.format == "json":
         # Trace fields stay top-level (the stable, scripted-against
         # shape); the result store and run manifests report under their
         # own keys.
-        info = dict(info)
         info["results"] = result_info
         info["runs"] = runs_info
         print(json.dumps(info, indent=2, sort_keys=True))

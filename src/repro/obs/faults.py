@@ -49,6 +49,8 @@ import hashlib
 import os
 import time
 
+from repro.obs.metrics import Counter
+
 #: Environment variable supplying a default fault spec to the CLI.
 ENV_FAULTS = "REPRO_FAULTS"
 
@@ -80,6 +82,9 @@ POINTS = {
     "trace.decode": ("corrupt",),
     "worker.task": ("kill", "exc", "hang"),
 }
+
+#: Description of the ``faults_injected`` counter.
+_INJECTED_DESCRIPTION = "injected faults fired, per point:mode"
 
 #: Cap on the per-run fault event list shipped into the run manifest.
 MAX_EVENTS = 200
@@ -128,9 +133,9 @@ class FaultInjector:
         self.rules = dict(rules)
         self.seed = seed
         self.spec = spec
-        #: ``point:mode`` label -> fired count.  A plain dict until
-        #: :func:`bind_registry` re-homes it in a session registry.
-        self.injected = {}
+        #: ``point:mode`` label -> fired count, until :func:`bind_registry`
+        #: re-homes it in a session registry.
+        self.injected = Counter("faults_injected", _INJECTED_DESCRIPTION)
         #: The first :data:`MAX_EVENTS` fired faults, for the manifest.
         self.events = []
         self._draws = {}
@@ -211,11 +216,7 @@ class FaultInjector:
         return mode  # corrupt: the call site raises its domain error
 
     def _record(self, point, mode, key):
-        label = "%s:%s" % (point, mode)
-        if hasattr(self.injected, "inc"):
-            self.injected.inc(label)
-        else:
-            self.injected[label] = self.injected.get(label, 0) + 1
+        self.injected.inc("%s:%s" % (point, mode))
         if len(self.events) < MAX_EVENTS:
             self.events.append(
                 {"point": point, "mode": mode, "key": key, "pid": os.getpid()}
@@ -232,10 +233,8 @@ class FaultInjector:
         supervisor's ``worker_crashes`` counter is their parent-side
         record).
         """
-        counter = registry.counter(
-            "faults_injected", "injected faults fired, per point:mode"
-        )
-        for label, count in dict(self.injected).items():
+        counter = registry.counter("faults_injected", _INJECTED_DESCRIPTION)
+        for label, count in self.injected.items():
             counter.inc(label, count)
         self.injected = counter
 

@@ -9,17 +9,18 @@ installed — the span summary.  Manifests make warm-vs-cold behaviour
 diffable after the fact: two runs over the same cache can be compared
 metric by metric with nothing but ``diff``/``jq``.
 
-Writes are atomic (temp file + ``os.replace``) and the directory is
-created lazily, mirroring the cache stores' discipline; read paths
-(:func:`list_runs`) never create directories.
+Writes go through the cache stores' atomic writer
+(:func:`repro.study.disk_store.atomic_write`), so a killed writer's
+temp file is found and swept like theirs; the directory is created
+lazily, and read paths (:func:`list_runs`) never create directories.
 """
 
 import json
 import os
-import tempfile
 import time
 
 from repro.obs import faults
+from repro.study.disk_store import atomic_write
 
 #: Version stamped into every manifest; bumped on layout changes.
 RUNLOG_VERSION = 1
@@ -56,8 +57,6 @@ def write_runlog(cache_dir, command, config, registry, tracer=None):
     and ``tracer`` the optional :class:`~repro.obs.tracing.Tracer` whose
     span summary should ride along.
     """
-    directory = runs_dir(cache_dir)
-    os.makedirs(directory, exist_ok=True)
     now = time.time()
     manifest = {
         "version": RUNLOG_VERSION,
@@ -78,20 +77,13 @@ def write_runlog(cache_dir, command, config, registry, tracer=None):
     name = "run-%s-%d.json" % (
         time.strftime("%Y%m%dT%H%M%S", time.gmtime(now)), os.getpid(),
     )
-    path = os.path.join(directory, name)
-    fd, temp_path = tempfile.mkstemp(prefix=".run-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.remove(temp_path)
-        except OSError:
-            pass
-        raise
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+    def dump(temp_path):
+        with open(temp_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    return atomic_write(os.path.join(runs_dir(cache_dir), name), dump)
 
 
 def list_runs(cache_dir):

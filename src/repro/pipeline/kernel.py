@@ -280,12 +280,11 @@ class TabularKernel:
         s_branch = s_icache = s_dcache = s_data = 0
         s_rd = s_ex = s_mem = s_wb = 0
         last_end = 0
-        # Register readiness as flat per-register arrays (regs are 0..31,
-        # plus the never-written _NO_REGISTER slot); the organization's
-        # forwarding style picks the one that gates EX.
-        ready_first_of = [0] * (_NO_REGISTER + 1)
-        ready_last_of = [0] * (_NO_REGISTER + 1)
-        ready_of = ready_first_of if streams else ready_last_of
+        # Register readiness as one flat per-register array (regs are
+        # 0..31, plus the never-written _NO_REGISTER slot): the cycle a
+        # value can gate EX, which the organization's forwarding style
+        # decides (its first slice when operands stream, else its last).
+        ready_of = [0] * (_NO_REGISTER + 1)
 
         for sid, imiss, dmiss, hit in zip(ids, istalls, dstalls, hits):
             (src_a, src_b, dest, dest_kind,
@@ -367,18 +366,18 @@ class TabularKernel:
             # --------------------------------------------- result readiness
             if dest_kind:
                 if dest_kind == 2:  # ALU result, forwardable
-                    first = ex_start + 1 + forward_latency
-                    if first > ex_end:
-                        first = ex_end
-                    ready_first_of[dest] = first
-                    ready_last_of[dest] = ex_end
+                    ready = ex_end
+                    if streams:
+                        first = ex_start + 1 + forward_latency
+                        if first < ready:
+                            ready = first
                 elif dest_kind == 1:  # load
-                    first = mem_end - (occ_mem - 1 if occ_mem > 1 else 0)
-                    ready_first_of[dest] = first
-                    ready_last_of[dest] = mem_end
+                    ready = mem_end
+                    if streams and occ_mem > 1:
+                        ready -= occ_mem - 1
                 else:  # jal/jalr link values, mfhi/mflo
-                    ready_first_of[dest] = ex_end
-                    ready_last_of[dest] = ex_end
+                    ready = ex_end
+                ready_of[dest] = ready
 
             # ------------------------------------------------- control flow
             if res_mode and not hit:

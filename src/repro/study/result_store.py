@@ -27,20 +27,12 @@ Entries are keyed by the full provenance of a result:
 * the *store version* invalidates when the entry layout changes.
 
 A stale key simply never matches — old files sit inert until
-``repro cache clear``.  Damaged files (truncation, bit rot, tampering)
-fail closed: :meth:`ResultStore.load` returns ``None`` and deletes the
-file, and the caller recomputes.  Writes go through a temp file and
-``os.replace`` so concurrent processes never observe a partial entry;
-the temp file is removed in a ``finally``, so an interrupted write
-cannot leak it.
-
-Writes degrade instead of raising, exactly like the trace cache's (the
-policy, constants and the ``store_write_failures`` /
-``store_degraded`` instruments are shared with
-:mod:`repro.study.trace_cache`): transient ``OSError``s retry with
-backoff, and exhausted retries flip the store into in-memory-only
-degraded mode — the broker's memo keeps the session correct, and the
-run completes compute-only.  See ``docs/ROBUSTNESS.md``.
+``repro cache clear``.  Writes, reads and degraded mode follow the one
+policy of :mod:`repro.study.disk_store`: an unreadable file is a plain
+miss, and a damaged or mismatched one (truncation, bit rot, tampering)
+is deleted so the recomputed result replaces it.  A degraded store
+leaves the broker's memo to keep the session correct, and the run
+completes compute-only.
 
 The store shares its directory with the trace cache (``--cache-dir`` /
 ``$REPRO_CACHE_DIR``): trace entries are ``*.trace`` files, result
@@ -50,20 +42,12 @@ entries ``*.result`` files.
 import hashlib
 import json
 import os
-import sys
-import tempfile
-import time
 
 from repro.obs import faults
+from repro.study.disk_store import DiskStore, stray_temp_files
 from repro.study.trace_cache import (
-    DEGRADED_DESCRIPTION,
-    WRITE_ATTEMPTS,
-    WRITE_BACKOFF,
-    WRITE_FAILURES_DESCRIPTION,
     fingerprint_sources,
-    remove_stray_temp_files,
     source_hash,
-    stray_temp_files,
     toolchain_fingerprint,
 )
 
@@ -116,72 +100,22 @@ def _checksum(payload):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultStore:
+class ResultStore(DiskStore):
     """Directory of keyed JSON result entries, safely invalidated.
 
     ``load``/``store`` are the whole protocol: a *unit* is any object
-    with ``workload`` (name), ``scale``, a JSON-able ``descriptor()``
-    and a filename-safe ``slug()`` — see :mod:`repro.study.scheduler`.
-    ``load`` returns the stored payload dict or ``None`` (missing, stale
-    or damaged entry); ``store`` writes one atomically.  ``info`` and
-    ``clear`` back the ``repro cache`` CLI subcommand.
+    with ``workload`` (name), ``scale``, a JSON-able ``descriptor()``,
+    a filename-safe ``slug()`` and a ``label()`` — see
+    :mod:`repro.study.scheduler`.  ``load`` returns the stored payload
+    dict or ``None`` (missing, stale or damaged entry); ``store``
+    writes one atomically.  ``info`` and ``clear`` back the ``repro
+    cache`` CLI subcommand.  Counters are keyed by unit label.
     """
 
-    #: Label this store reports under in the shared ``store_write_failures``
-    #: counter and ``store_degraded`` gauge.
-    _DEGRADED_LABEL = "result_store"
-
-    def __init__(self, root, registry=None):
-        # Created lazily on first store(), mirroring TraceCache: read
-        # paths must not leave empty directories at mistyped locations.
-        self.root = str(root)
-        #: Process-local counters keyed by unit label.
-        self.hits = {}
-        self.misses = {}
-        self.stores = {}
-        #: True once writes have failed past the retry budget; further
-        #: writes are skipped (reads keep working) instead of raising.
-        self.degraded = False
-        self.registry = None
-        #: Plain dicts until :meth:`bind_registry` re-homes them in a
-        #: session registry (the broker binds its own on construction).
-        self.write_failures = {}
-        self._degraded_gauge = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry):
-        """Re-home the degradation instruments in ``registry``.
-
-        Same discipline as ``TraceCache.bind_registry``: current counts
-        carry over, and the instruments are shared by name with the
-        trace cache's (each store reports under its own label).
-        """
-        if registry is self.registry:
-            return
-        failures = registry.counter(
-            "store_write_failures", WRITE_FAILURES_DESCRIPTION
-        )
-        for label, count in dict(self.write_failures).items():
-            failures.inc(label, count)
-        self.write_failures = failures
-        gauge = registry.gauge("store_degraded", DEGRADED_DESCRIPTION)
-        if self.degraded:
-            gauge.set(self._DEGRADED_LABEL, 1)
-        self._degraded_gauge = gauge
-        self.registry = registry
-
-    def _degrade(self, error):
-        """Flip into in-memory-only mode after exhausted write retries."""
-        self.degraded = True
-        if self._degraded_gauge is not None:
-            self._degraded_gauge.set(self._DEGRADED_LABEL, 1)
-        print(
-            "repro: %s %s degraded to in-memory-only after %d failed "
-            "write attempts: %s"
-            % (self._DEGRADED_LABEL, self.root, WRITE_ATTEMPTS, error),
-            file=sys.stderr,
-        )
+    NAME = "result_store"
+    SUFFIX = ".result"
+    DESCRIPTIONS = ("result entries served", "lookups with no usable entry",
+                    "result entries written")
 
     # ---------------------------------------------------------------- keys
 
@@ -217,21 +151,16 @@ class ResultStore:
     def load(self, workload, unit):
         """Stored payload dict for ``unit``, or ``None`` on a miss.
 
-        A damaged or mismatched entry counts as a miss: it is deleted
-        (best effort) so the recomputed result can replace it.
+        Fault keys are the unit label: stable across toolchain and
+        engine edits, unlike the file name.
         """
         label = unit.label()
         key = self.entry_key(workload, unit)
-        path = self._path(workload, unit, key)
-        try:
-            faults.fire("store.read", key=os.path.basename(path))
+
+        def decode(path):
+            faults.fire("store.read", key=label)
             with open(path, "r", encoding="utf-8") as handle:
-                blob = handle.read()
-        except OSError:  # FileNotFoundError included: plain miss
-            self.misses[label] = self.misses.get(label, 0) + 1
-            return None
-        try:
-            document = json.loads(blob)
+                document = json.loads(handle.read())
             if (
                 not isinstance(document, dict)
                 or document.get("magic") != MAGIC
@@ -239,87 +168,36 @@ class ResultStore:
                 or _checksum(document["payload"]) != document.get("checksum")
             ):
                 raise ValueError("result entry does not match its key")
-            payload = document["payload"]
-        except (ValueError, KeyError, TypeError):
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.misses[label] = self.misses.get(label, 0) + 1
-            return None
-        self.hits[label] = self.hits.get(label, 0) + 1
-        return payload
+            return document["payload"]
+
+        return self._read(label, self._path(workload, unit, key), decode)
 
     def store(self, workload, unit, payload):
         """Atomically write one result entry; returns its file path.
 
-        Transient ``OSError``s are retried with backoff; exhausted
-        retries flip the store into degraded mode and return ``None``
-        (as does every write after that) instead of raising.
+        Returns ``None`` instead of raising once exhausted write retries
+        have degraded the store.
         """
-        if self.degraded:
-            return None
         label = unit.label()
         key = self.entry_key(workload, unit)
-        path = self._path(workload, unit, key)
-        document = {
-            "magic": MAGIC,
-            "key": key,
-            "payload": payload,
-            "checksum": _checksum(payload),
-        }
-        name = os.path.basename(path)
-        for attempt in range(WRITE_ATTEMPTS):
-            try:
-                faults.fire("store.write", key="%s#%d" % (name, attempt))
-                self._write_entry(path, workload, unit, document)
-            except OSError as error:
-                self._count_write_failure()
-                if attempt + 1 < WRITE_ATTEMPTS:
-                    time.sleep(WRITE_BACKOFF * (2 ** attempt))
-                    continue
-                self._degrade(error)
-                return None
-            self.stores[label] = self.stores.get(label, 0) + 1
-            return path
-
-    def _write_entry(self, path, workload, unit, document):
-        # try/finally, not except/re-raise: the temp file must be gone
-        # on *every* exit, including KeyboardInterrupt/SystemExit mid
-        # dump (os.replace already consumed it on the success path, so
-        # the unlink is a no-op there).
-        os.makedirs(self.root, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(
-            prefix=".%s@%d-" % (workload.name, unit.scale), suffix=".tmp",
-            dir=self.root,
+        blob = json.dumps(
+            {
+                "magic": MAGIC,
+                "key": key,
+                "payload": payload,
+                "checksum": _checksum(payload),
+            },
+            sort_keys=True,
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, sort_keys=True)
-            os.replace(temp_path, path)
-        finally:
-            try:
-                os.remove(temp_path)
-            except OSError:
-                pass
 
-    def _count_write_failure(self):
-        if hasattr(self.write_failures, "inc"):
-            self.write_failures.inc(self._DEGRADED_LABEL)
-        else:
-            self.write_failures[self._DEGRADED_LABEL] = (
-                self.write_failures.get(self._DEGRADED_LABEL, 0) + 1
-            )
+        def dump(temp_path, attempt):
+            faults.fire("store.write", key="%s#%d" % (label, attempt))
+            with open(temp_path, "w", encoding="utf-8") as handle:
+                handle.write(blob)
+
+        return self._write(label, self._path(workload, unit, key), dump)
 
     # ------------------------------------------------------------ inspection
-
-    def entries(self):
-        """Sorted file names of every result entry."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(name for name in names if name.endswith(".result"))
 
     def info(self):
         """Aggregate statistics for ``repro cache info``."""
@@ -356,17 +234,3 @@ class ResultStore:
             "temp_files": len(stray_temp_files(self.root)),
             "store_version": STORE_VERSION,
         }
-
-    def clear(self):
-        """Delete every result entry (and stray temp file); returns count."""
-        removed = remove_stray_temp_files(self.root)
-        for name in self.entries():
-            try:
-                os.remove(os.path.join(self.root, name))
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __repr__(self):
-        return "ResultStore(%r)" % self.root

@@ -427,10 +427,10 @@ class ResultBroker:
         self.parallel_fallbacks = counter(
             "parallel_fallbacks", "parallel runs degraded to serial execution"
         )
-        # The persistent result store reports its write failures and
-        # degraded-mode flips through the same registry (the trace
+        # The persistent result store reports its hits, misses, stores,
+        # write failures and degraded-mode flips through the same registry (the trace
         # cache is bound by the TraceStore that owns it).
-        if self.store is not None and hasattr(self.store, "bind_registry"):
+        if self.store is not None:
             self.store.bind_registry(self.registry)
 
     def reset(self):

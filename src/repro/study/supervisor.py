@@ -71,8 +71,13 @@ MAX_BACKOFF = 1.0
 STOP_GRACE = 2.0
 
 
-def _sigterm_to_exit(signum, frame):
-    """A worker's SIGTERM handler: unwind through ``finally`` blocks."""
+def sigterm_to_exit(signum, frame):
+    """SIGTERM handler: raise ``SystemExit`` so cleanup blocks run.
+
+    An in-flight store write then removes its temp file, and the
+    process still exits with the conventional ``128 + SIGTERM`` status.
+    Forked workers and the CLI process both install it.
+    """
     raise SystemExit(128 + signum)
 
 
@@ -233,10 +238,10 @@ class SupervisedExecutor:
         before computing, so injected kills/hangs/raises exercise the
         exact recovery paths real worker deaths would.  SIGTERM (how
         :meth:`_reap` stops a worker) raises ``SystemExit``, so a task
-        writing a cache entry unwinds through the writer's ``finally``
-        and leaves no temp file behind.
+        writing a cache entry unwinds through the atomic writer, which
+        leaves no temp file behind.
         """
-        signal.signal(signal.SIGTERM, _sigterm_to_exit)
+        signal.signal(signal.SIGTERM, sigterm_to_exit)
         try:
             while True:
                 try:

@@ -20,49 +20,25 @@ fingerprint, codec version)``:
 * the *codec version* invalidates when the on-disk encoding changes.
 
 A stale key simply never matches — old files sit inert until
-``repro cache clear``.  Damaged files (truncation, bit rot, version
-skew) fail closed: :meth:`TraceCache.load` returns ``None`` and deletes
-the file, and the caller re-simulates.  Writes go through a temp file
-and ``os.replace`` so concurrent processes never observe a partial
-entry; the temp file is removed in a ``finally``, so an interrupted
-write cannot leak it (strays from a hard kill are reported by ``cache
-info`` and removed by ``cache clear``).
-
-Writes also **degrade instead of raising**: a transient ``OSError``
-(full disk, read-only directory, injected ``cache.write:eio``) is
-retried :data:`WRITE_ATTEMPTS` times with backoff, and a store whose
-writes keep failing flips into an in-memory-only *degraded mode* — a
-one-time stderr warning, the ``store_degraded`` gauge, and silently
-skipped writes from then on.  Reads never degrade; the in-process
-:class:`~repro.study.session.TraceStore` keeps serving, so a run on a
-broken disk completes compute-only instead of crashing.  See
-``docs/ROBUSTNESS.md``.
+``repro cache clear``.  Writes, reads and degraded mode follow the one
+policy of :mod:`repro.study.disk_store`: an unreadable file is a plain
+miss, and a damaged or version-skewed one (truncation, bit rot) is
+deleted so the re-simulated trace replaces it.  The in-process
+:class:`~repro.study.session.TraceStore` keeps serving when the disk
+does not, so a run on a broken disk completes compute-only.
 """
 
 import hashlib
 import json
 import os
-import sys
-import tempfile
-import time
 
 from repro.obs import faults
-from repro.obs.metrics import MetricsRegistry, format_workload_scale
+from repro.obs.metrics import format_workload_scale
 from repro.sim import tracefile
+from repro.study.disk_store import DiskStore, stray_temp_files
 
 #: Environment variable supplying a default cache directory to the CLI.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: Write-retry policy shared by :class:`TraceCache` and the result
-#: store: attempts per entry, and the base of the exponential backoff
-#: between them (seconds).
-WRITE_ATTEMPTS = 3
-WRITE_BACKOFF = 0.02
-
-#: Shared instrument descriptions (both stores register these in the
-#: same session registry, and registration demands one description).
-WRITE_FAILURES_DESCRIPTION = "persistent store writes that failed with OSError"
-DEGRADED_DESCRIPTION = "1 once a store has flipped to in-memory-only mode"
 
 #: Packages whose sources determine trace content (compile + simulate).
 _TOOLCHAIN_PACKAGES = ("repro.minic", "repro.asm", "repro.isa", "repro.sim")
@@ -123,116 +99,21 @@ def source_hash(workload, scale=1):
     return hashlib.sha256(workload.source(scale).encode("utf-8")).hexdigest()
 
 
-def stray_temp_files(root):
-    """Orphaned ``.tmp`` names under ``root`` from interrupted writes.
-
-    Both stores write through ``mkstemp(prefix=".", suffix=".tmp")``;
-    anything matching that shape after a write finished is a leak (a
-    hard-killed writer), which ``cache info`` reports and ``cache
-    clear`` removes.
-    """
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return []
-    return sorted(
-        name for name in names
-        if name.startswith(".") and name.endswith(".tmp")
-    )
-
-
-def remove_stray_temp_files(root):
-    """Delete orphaned temp files under ``root``; returns how many."""
-    removed = 0
-    for name in stray_temp_files(root):
-        try:
-            os.remove(os.path.join(root, name))
-            removed += 1
-        except OSError:
-            pass
-    return removed
-
-
-class TraceCache:
+class TraceCache(DiskStore):
     """Directory of significance-compressed trace files, safely keyed.
 
     ``load``/``store`` are the whole protocol: ``load`` returns the
     decoded records or ``None`` (missing, stale or damaged entry) and
     ``store`` writes one atomically.  ``info``/``clear`` back the
-    ``repro cache`` CLI subcommand.
+    ``repro cache`` CLI subcommand.  Counters are keyed like
+    :class:`~repro.study.session.TraceStore`'s: ``(name, scale)``.
     """
 
-    #: (metric attribute, registered name, description) per instrument.
-    _COUNTERS = (
-        ("hits", "trace_cache_hits", "cache files served"),
-        ("misses", "trace_cache_misses", "lookups with no usable file"),
-        ("stores", "trace_cache_stores", "trace files written"),
-    )
-
-    #: Label this store reports under in the shared ``store_write_failures``
-    #: counter and ``store_degraded`` gauge.
-    _DEGRADED_LABEL = "trace_cache"
-
-    def __init__(self, root, registry=None):
-        # The directory is only created on first store(): read paths
-        # (info, clear, load) must not leave empty directories behind
-        # when pointed at a mistyped location.
-        self.root = str(root)
-        #: True once writes have failed past the retry budget: the
-        #: store skips all further writes (reads keep working) instead
-        #: of aborting runs that could complete compute-only.
-        self.degraded = False
-        #: Process-local counters, keyed like TraceStore: (name, scale).
-        #: Registered in a :class:`~repro.obs.metrics.MetricsRegistry`
-        #: (a private one until a TraceStore rebinds the cache to the
-        #: session's via :meth:`bind_registry`).
-        self.registry = None
-        self.bind_registry(
-            registry if registry is not None else MetricsRegistry()
-        )
-
-    def bind_registry(self, registry):
-        """Re-home the cache's counters in ``registry``.
-
-        Current values carry over (they are merged into the registry's
-        instruments), so a cache constructed before the session's
-        registry existed loses nothing when the trace store adopts it.
-        """
-        if registry is self.registry:
-            return
-        for attribute, name, description in self._COUNTERS:
-            counter = registry.counter(
-                name, description, key=format_workload_scale
-            )
-            previous = getattr(self, attribute, None)
-            if previous:
-                for label, count in previous.items():
-                    counter.inc(label, count)
-            setattr(self, attribute, counter)
-        failures = registry.counter(
-            "store_write_failures", WRITE_FAILURES_DESCRIPTION
-        )
-        previous = getattr(self, "write_failures", None)
-        if previous:
-            for label, count in dict(previous).items():
-                failures.inc(label, count)
-        self.write_failures = failures
-        gauge = registry.gauge("store_degraded", DEGRADED_DESCRIPTION)
-        if self.degraded:
-            gauge.set(self._DEGRADED_LABEL, 1)
-        self._degraded_gauge = gauge
-        self.registry = registry
-
-    def _degrade(self, error):
-        """Flip into in-memory-only mode after exhausted write retries."""
-        self.degraded = True
-        self._degraded_gauge.set(self._DEGRADED_LABEL, 1)
-        print(
-            "repro: %s %s degraded to in-memory-only after %d failed "
-            "write attempts: %s"
-            % (self._DEGRADED_LABEL, self.root, WRITE_ATTEMPTS, error),
-            file=sys.stderr,
-        )
+    NAME = "trace_cache"
+    SUFFIX = ".trace"
+    LABEL_KEY = staticmethod(format_workload_scale)
+    DESCRIPTIONS = ("cache files served", "lookups with no usable file",
+                    "trace files written")
 
     # ---------------------------------------------------------------- keys
 
@@ -262,91 +143,44 @@ class TraceCache:
     def load(self, workload, scale=1):
         """Decoded records for the workload's trace, or ``None`` on a miss.
 
-        A damaged or version-skewed file counts as a miss: it is deleted
-        (best effort) so the re-simulated trace can replace it.
+        Fault keys are ``workload@scale``: stable across toolchain
+        edits, unlike the file name.
         """
         key = (workload.name, scale)
-        path = self.path_for(workload, scale)
-        try:
-            if faults.fire("trace.decode", key=os.path.basename(path)):
+
+        def decode(path):
+            if faults.fire("trace.decode", key=format_workload_scale(key)):
                 raise tracefile.TraceCodecError(
                     "injected decode fault: %s" % path
                 )
-            records, _meta = tracefile.load_trace(path)
-        except FileNotFoundError:
-            self.misses[key] = self.misses.get(key, 0) + 1
-            return None
-        except (tracefile.TraceCodecError, OSError, ValueError):
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-            self.misses[key] = self.misses.get(key, 0) + 1
-            return None
-        self.hits[key] = self.hits.get(key, 0) + 1
-        return records
+            return tracefile.load_trace(path)[0]
+
+        return self._read(key, self.path_for(workload, scale), decode)
 
     def store(self, workload, scale, records):
         """Atomically write one trace entry; returns its file path.
 
-        Transient ``OSError``s are retried with backoff; exhausted
-        retries flip the store into degraded mode and return ``None``
-        (as does every write after that) instead of raising.
+        Returns ``None`` instead of raising once exhausted write retries
+        have degraded the store.
         """
-        if self.degraded:
-            return None
         key = (workload.name, scale)
-        path = self.path_for(workload, scale)
         meta = {
             "workload": workload.name,
             "scale": scale,
             "source_hash": source_hash(workload, scale),
             "toolchain": toolchain_fingerprint(),
         }
-        name = os.path.basename(path)
-        for attempt in range(WRITE_ATTEMPTS):
-            try:
-                faults.fire("cache.write", key="%s#%d" % (name, attempt))
-                self._write_entry(path, workload, scale, records, meta)
-            except OSError as error:
-                self.write_failures.inc(self._DEGRADED_LABEL)
-                if attempt + 1 < WRITE_ATTEMPTS:
-                    time.sleep(WRITE_BACKOFF * (2 ** attempt))
-                    continue
-                self._degrade(error)
-                return None
-            self.stores[key] = self.stores.get(key, 0) + 1
-            return path
 
-    def _write_entry(self, path, workload, scale, records, meta):
-        # try/finally, not except/re-raise: the temp file must be gone
-        # on *every* exit, including KeyboardInterrupt/SystemExit mid
-        # dump (os.replace already consumed it on the success path, so
-        # the unlink is a no-op there).
-        os.makedirs(self.root, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(
-            prefix=".%s@%d-" % (workload.name, scale), suffix=".tmp",
-            dir=self.root,
-        )
-        os.close(fd)
-        try:
+        def dump(temp_path, attempt):
+            faults.fire(
+                "cache.write",
+                key="%s#%d" % (format_workload_scale(key), attempt),
+            )
             tracefile.dump_trace(temp_path, records, meta=meta)
-            os.replace(temp_path, path)
-        finally:
-            try:
-                os.remove(temp_path)
-            except OSError:
-                pass
+
+        return self._write(key, self.path_for(workload, scale), dump)
 
     # ------------------------------------------------------------ inspection
-
-    def entries(self):
-        """Sorted file names of every (readable) cache entry."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(name for name in names if name.endswith(".trace"))
 
     def info(self):
         """Aggregate cache statistics for ``repro cache info``.
@@ -383,17 +217,3 @@ class TraceCache:
             "temp_files": len(stray_temp_files(self.root)),
             "codec_version": tracefile.CODEC_VERSION,
         }
-
-    def clear(self):
-        """Delete every cache entry (and stray temp file); returns count."""
-        removed = remove_stray_temp_files(self.root)
-        for name in self.entries():
-            try:
-                os.remove(os.path.join(self.root, name))
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __repr__(self):
-        return "TraceCache(%r)" % self.root

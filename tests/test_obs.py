@@ -311,6 +311,24 @@ class TestSessionObservability:
             (workload.name, 1): 1,
         }
 
+    def test_result_store_rebinds_into_broker_registry(self, tmp_path):
+        from repro.study.result_store import ResultStore
+        from repro.study.scheduler import AnalysisUnit, ResultBroker
+
+        results = ResultStore(str(tmp_path))
+        workload = fast_workloads()[0]
+        unit = AnalysisUnit(workload.name, 1)
+        assert results.load(workload, unit) is None  # private-registry miss
+        broker = ResultBroker(TraceStore(), results)
+        assert results.registry is broker.registry
+        assert results.store(workload, unit, {"value": 1}) is not None
+        assert results.load(workload, unit) == {"value": 1}
+        metrics = broker.registry.jsonable()["metrics"]
+        for name in ("hits", "misses", "stores"):
+            assert metrics["result_store_%s" % name]["values"] == {
+                unit.label(): 1
+            }
+
 
 class TestRunlog:
     def _registry(self):

@@ -28,15 +28,12 @@ from repro.obs.faults import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import tracefile
+from repro.study.disk_store import WRITE_ATTEMPTS, stray_temp_files
 from repro.study.result_store import ResultStore
 from repro.study.scheduler import AnalysisUnit
 from repro.study.session import ExperimentSession
 from repro.study.supervisor import SupervisedExecutor, UnitExecutionError
-from repro.study.trace_cache import (
-    TraceCache,
-    WRITE_ATTEMPTS,
-    stray_temp_files,
-)
+from repro.study.trace_cache import TraceCache
 from repro.workloads import get_workload
 
 # Workloads cheap enough to trace in-process per test.
@@ -428,6 +425,65 @@ class TestDegradedTraceCache:
         assert not os.path.isfile(cache.path_for(workload, 1))
 
 
+class TestFaultKeys:
+    """Fault decisions are keyed by stable labels, not file names.
+
+    Entry file names carry fingerprint digests; keying a decision by
+    one would let a compiler or engine edit move which seeded faults
+    fire (and could make a CI chaos spec pass vacuously).
+    """
+
+    @staticmethod
+    def _fired_keys(cache_dir, monkeypatch):
+        calls = []
+        fire = faults.fire
+
+        def recording(point, key=None):
+            calls.append((point, key))
+            return fire(point, key)
+
+        monkeypatch.setattr(faults, "fire", recording)
+        workload = get_workload("synth_small")
+        cache = TraceCache(str(cache_dir))
+        cache.store(workload, 1, workload.trace(scale=1))
+        cache.load(workload, 1)
+        store = ResultStore(str(cache_dir))
+        unit = AnalysisUnit("synth_small", 1)
+        store.store(workload, unit, {"value": 1})
+        store.load(workload, unit)
+        monkeypatch.setattr(faults, "fire", fire)
+        return calls
+
+    def test_keys_do_not_move_with_fingerprints(self, tmp_path, monkeypatch):
+        from repro.study import result_store, trace_cache
+
+        before = self._fired_keys(tmp_path / "a", monkeypatch)
+        monkeypatch.setattr(trace_cache, "_toolchain_fingerprint", "1" * 64)
+        monkeypatch.setattr(result_store, "_engine_fingerprint", "2" * 64)
+        after = self._fired_keys(tmp_path / "b", monkeypatch)
+        # Different fingerprints, so different entry files ...
+        assert sorted(os.listdir(tmp_path / "a")) != sorted(
+            os.listdir(tmp_path / "b")
+        )
+        # ... but the very same fault keys.
+        assert before == after == [
+            ("cache.write", "synth_small@1#0"),
+            ("trace.decode", "synth_small@1"),
+            ("store.write", "synth_small@1/analyze#0"),
+            ("store.read", "synth_small@1/analyze"),
+        ]
+
+    def test_seeded_decode_decisions_are_pinned(self):
+        # The CI chaos spec trace.decode:corrupt@0.5,seed=3 over its
+        # four workloads: it fires on two, whatever the fingerprints.
+        draws = {
+            name: faults._decision(3, "trace.decode", "%s@1" % name, 0)
+            for name in ("rawcaudio", "rawdaudio", "synth_small", "synth_stride")
+        }
+        fired = sorted(name for name, draw in draws.items() if draw < 0.5)
+        assert fired == ["rawcaudio", "synth_small"]
+
+
 # ------------------------------------------------------------- temp hygiene
 
 
@@ -472,6 +528,36 @@ class TestTempFileHygiene:
         assert cache.clear() == 1
         assert not stray.exists()
         assert cache.info()["temp_files"] == 0
+
+    def test_run_log_strays_are_reported_and_cleared(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        stray = runs / ".run-x.tmp"
+        stray.write_bytes(b"half-written manifest")
+        args = ["cache", "info", "--cache-dir", str(tmp_path)]
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["temp_files"] == 1
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert not stray.exists()
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["temp_files"] == 0
+
+    def test_run_log_writes_through_the_shared_writer(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import runlog
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            runlog.write_runlog(
+                str(tmp_path), ["table1"], {}, MetricsRegistry()
+            )
+        monkeypatch.undo()
+        assert stray_temp_files(runlog.runs_dir(str(tmp_path))) == []
 
     def test_regular_files_are_not_strays(self, tmp_path):
         (tmp_path / "entry.trace").write_bytes(b"not a temp")

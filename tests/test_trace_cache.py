@@ -8,6 +8,7 @@ source-hash changes invalidate), and the cross-process contract: a warm
 ``repro all`` performs zero trace materializations.
 """
 
+import errno
 import json
 import os
 
@@ -213,6 +214,26 @@ class TestTraceCache:
         open(path, "wb").write(bytes(blob))
         assert cache.load(workload) is None  # damaged -> miss
         assert not os.path.exists(path)  # and the bad file is gone
+
+    def test_unreadable_entry_is_a_miss_and_kept(self, tmp_path, monkeypatch):
+        # An I/O error is not evidence of damage: the read is a plain
+        # miss and the entry stays for the next, healthy read.
+        workload, _state = make_counting_workload()
+        cache = TraceCache(tmp_path)
+        records = workload.trace()
+        cache.store(workload, 1, records)
+        path = cache.path_for(workload)
+
+        def eio(path):
+            raise OSError(errno.EIO, "injected read error", path)
+
+        monkeypatch.setattr(tracefile, "load_trace", eio)
+        assert cache.load(workload) is None
+        assert os.path.isfile(path)
+        monkeypatch.undo()
+        assert cache.load(workload) == records
+        assert cache.misses == {("counted", 1): 1}
+        assert cache.hits == {("counted", 1): 1}
 
     def test_truncated_entry_falls_back_to_resimulation(self, tmp_path):
         workload, _state = make_counting_workload()

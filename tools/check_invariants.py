@@ -92,6 +92,9 @@ ORCHESTRATION_ONLY = frozenset((
     "repro.study",              # package __init__: re-exports only
     "repro.study.activity_study",
     "repro.study.cpi_study",
+    # How entries reach disk (atomic write, retry, degrade, fail-closed
+    # read), never what they hold: the stores' keys carry the versions.
+    "repro.study.disk_store",
     "repro.study.experiments",
     "repro.study.funct_study",
     "repro.study.patterns_study",
@@ -549,6 +552,7 @@ INSTRUMENTED_MODULES = (
     "src/repro/pipeline/activity.py",
     "src/repro/pipeline/kernel.py",
     "src/repro/sim/tracefile.py",
+    "src/repro/study/disk_store.py",
     "src/repro/study/result_store.py",
     "src/repro/study/scheduler.py",
     "src/repro/study/session.py",
